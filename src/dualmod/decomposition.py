@@ -1,9 +1,11 @@
 """Exact density decomposition by exhaustive search.
 
 The decomposition repeatedly extracts the maximal densest subset of the
-residual instance.  Densities are exact rationals, so the strict decrease
-of the part densities and the tightness identities can be asserted with
-zero tolerance.  The search is exponential by design; the polynomial-time
+residual instance.  Peels index one integer table of the instance: the
+residual marginal f(T|A) is F[T | A] - F[A], so no residual is tabulated.
+Densities are exact rationals, so the strict decrease of the part
+densities and the tightness identities can be asserted with zero
+tolerance.  The search is exponential by design; the polynomial-time
 route through submodular minimisation is out of scope at desk scale.
 """
 
@@ -19,8 +21,8 @@ from .instance import (
     DEFAULT_DECOMP_LIMIT,
     DualModularInstance,
     GroundSet,
+    _int_table,
     brute_limit,
-    residual_instance,
 )
 from .rational import format_rational
 
@@ -75,6 +77,59 @@ class DensityDecomposition:
         }
 
 
+def _densest_extension(ftab: list[int], gtab: list[int], anchor: int, free: int) -> int:
+    """Union of the nonempty T within ``free`` that maximise f(T|A) / g(T|A).
+
+    ``ftab`` and ``gtab`` are integer tables over the whole ground set and A
+    is ``anchor``.  Ratios are compared by cross-multiplication with the
+    denominator made positive; the subsets T are visited in ascending order.
+    """
+    fa, ga = ftab[anchor], gtab[anchor]
+    best_f = best_g = union = t = 0  # best ratio best_f / best_g; none while best_g == 0
+    while t != free:
+        t = (t - free) & free
+        df, dg = ftab[t | anchor] - fa, gtab[t | anchor] - ga
+        if dg == 0:
+            if df > 0:
+                raise InfiniteDensity(t)
+            continue
+        if dg < 0:
+            df, dg = -df, -dg
+        lhs, rhs = df * best_g, best_f * dg
+        if best_g == 0 or lhs > rhs:
+            best_f, best_g, union = df, dg, t
+        elif lhs == rhs:
+            union |= t
+    if best_g == 0:
+        raise DecompositionError("no subset has positive cost; cannot define density")
+    df, dg = ftab[union | anchor] - fa, gtab[union | anchor] - ga
+    if dg == 0 or df * best_g != best_f * dg:
+        raise DecompositionError(
+            "union of densest subsets is not densest; instance is not dual-modular"
+        )
+    return union
+
+
+def _peels(inst: DualModularInstance, max_n: Optional[int]):
+    """Yield (part, density) for each peel in order, all read off one table.
+
+    Peel i takes the maximal densest subset of f(.|A), g(.|A) on the
+    elements outside A, the union of the parts found so far.
+    """
+    limit = brute_limit(DEFAULT_DECOMP_LIMIT, max_n)
+    if inst.n > limit:
+        raise GroundSetTooLarge(inst.n, limit, "maximal_densest_subset")
+    ftab, gtab = inst.tables()
+    fint, gint = _int_table(ftab), _int_table(gtab)
+    full = inst.ground.full_mask
+    anchor = 0
+    while anchor != full:
+        part = _densest_extension(fint, gint, anchor, full ^ anchor)
+        union = anchor | part
+        yield part, (ftab[union] - ftab[anchor]) / (gtab[union] - gtab[anchor])
+        anchor = union
+
+
 def maximal_densest_subset(
     inst: DualModularInstance, max_n: Optional[int] = None
 ) -> tuple[int, Fraction]:
@@ -85,65 +140,17 @@ def maximal_densest_subset(
     perturbation of the cost function.  The union of the maximisers must
     itself be a maximiser (a dual-modularity consequence) and is asserted.
     """
-    limit = brute_limit(DEFAULT_DECOMP_LIMIT, max_n)
-    n = inst.n
-    if n > limit:
-        raise GroundSetTooLarge(n, limit, "maximal_densest_subset")
-    ftab, gtab = inst.tables()
-    best: Optional[Fraction] = None
-    union = 0
-    for s in range(1, 1 << n):
-        gs = gtab[s]
-        if gs == 0:
-            if ftab[s] > 0:
-                raise InfiniteDensity(s)
-            continue
-        rho = ftab[s] / gs
-        if best is None or rho > best:
-            best = rho
-            union = s
-        elif rho == best:
-            union |= s
-    if best is None:
-        raise DecompositionError("no subset has positive cost; cannot define density")
-    if ftab[union] / gtab[union] != best:
-        raise DecompositionError(
-            "union of densest subsets is not densest; instance is not dual-modular"
-        )
-    return union, best
+    return next(_peels(inst, max_n))
 
 
 def density_decomposition(
     inst: DualModularInstance, max_n: Optional[int] = None
 ) -> DensityDecomposition:
     """Peel off maximal densest subsets until the ground set is exhausted."""
-    n = inst.n
-    parts: list[int] = []
-    densities: list[Fraction] = []
-    current = inst
-    # positions in `current` -> positions in the original ground set
-    index_map = list(range(n))
-    while True:
-        mask, rho = maximal_densest_subset(current, max_n)
-        original = 0
-        for i in range(current.n):
-            if mask >> i & 1:
-                original |= 1 << index_map[i]
-        parts.append(original)
-        densities.append(rho)
-        if mask == current.ground.full_mask:
-            break
-        index_map = [index_map[i] for i in range(current.n) if not mask >> i & 1]
-        current = residual_instance(current, mask)
-
-    rho_star = [Fraction(0)] * n
-    for part, rho in zip(parts, densities):
-        for u in range(n):
-            if part >> u & 1:
-                rho_star[u] = rho
-    return DensityDecomposition(
-        n=n, parts=tuple(parts), densities=tuple(densities), rho_star=tuple(rho_star)
-    )
+    parts, densities = zip(*_peels(inst, max_n))
+    # every element lies in exactly one part
+    rho_star = tuple(r for u in range(inst.n) for p, r in zip(parts, densities) if p >> u & 1)
+    return DensityDecomposition(n=inst.n, parts=parts, densities=densities, rho_star=rho_star)
 
 
 def optimal_objective(

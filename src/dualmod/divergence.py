@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, GroundSetTooLarge, SchemaError, ZeroCostCoordinate
 from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, brute_limit
 from .permutation import Allocation, subset_sums
+from .rational import parse_rational
 
 
 class DivergenceKind:
@@ -134,7 +135,7 @@ def kind_from_string(text: str) -> DivergenceKind:
     if text == "eg":
         return EISENBERG_GALE
     if text.startswith("hs:"):
-        return HockeyStick(Fraction(text[3:]))
+        return HockeyStick(parse_rational(text[3:], "kind"))
     raise SchemaError("kind", f"unknown divergence kind {text!r}")
 
 

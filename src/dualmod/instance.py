@@ -18,7 +18,6 @@ import math
 import os
 from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
-from itertools import permutations as _all_permutations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -44,9 +43,15 @@ def brute_limit(default: int, override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("DUALMOD_BRUTE_LIMIT")
-    if env is not None:
-        return int(env)
-    return default
+    if env is None:
+        return default
+    try:
+        limit = int(env)
+    except ValueError:
+        raise SchemaError("DUALMOD_BRUTE_LIMIT", f"expected an integer, got {env!r}") from None
+    if limit < 0:
+        raise SchemaError("DUALMOD_BRUTE_LIMIT", f"must be >= 0, got {limit}")
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +453,10 @@ class StructureReport:
 
 
 def _int_table(tab: Sequence[Fraction]) -> list[int]:
-    # Comparisons of sums are scale-invariant, so clearing denominators once
-    # turns the O(4^n) pair loop into integer arithmetic.
+    # Comparisons of sums and of ratios are scale-invariant, so clearing
+    # denominators once turns the verify and densest-subset scans into integers.
     scale = math.lcm(*(v.denominator for v in tab))
-    return [int(v * scale) for v in tab]
+    return [v.numerator * (scale // v.denominator) for v in tab]
 
 
 def _first_supermodularity_violation(tab: list[int]) -> Optional[tuple[int, int]]:
@@ -620,13 +625,15 @@ class Extremes:
     g_max: Fraction
 
 
-def extremes(inst: DualModularInstance, crosscheck_limit: int = 7) -> Extremes:
+def extremes(inst: DualModularInstance) -> Extremes:
     """Extremal single-element marginals over all permutation vertices.
 
     Dual-modularity pins where the extremes sit: supermodular marginals are
     smallest on the empty prefix and largest on the full one; submodular
-    marginals the other way round.  For n small enough the closed forms are
-    cross-checked against an exhaustive scan of all n! permutations.
+    marginals the other way round.  For n <= 7 the closed forms are
+    cross-checked against every marginal h(u | A) with u not in A.  Each such
+    pair is the prefix-and-next step of some permutation, so this is the set
+    of marginals that all n! permutation vertices take.
     """
     n = inst.n
     full = inst.ground.full_mask
@@ -637,18 +644,11 @@ def extremes(inst: DualModularInstance, crosscheck_limit: int = 7) -> Extremes:
     g_min = min(g.value(full) - g.value(full ^ (1 << u)) for u in range(n))
     g_max = max(g.value(1 << u) for u in range(n))
 
-    if n <= crosscheck_limit:
-        seen_f = []
-        seen_g = []
-        ftab = f.table(n)
-        gtab = g.table(n)
-        for order in _all_permutations(range(n)):
-            prefix = 0
-            for u in order:
-                nxt = prefix | (1 << u)
-                seen_f.append(ftab[nxt] - ftab[prefix])
-                seen_g.append(gtab[nxt] - gtab[prefix])
-                prefix = nxt
+    if n <= 7:
+        ftab, gtab = inst.tables()
+        steps = [(a, a | 1 << u) for a in range(1 << n) for u in range(n) if not a >> u & 1]
+        seen_f = [ftab[b] - ftab[a] for a, b in steps]
+        seen_g = [gtab[b] - gtab[a] for a, b in steps]
         if not (min(seen_f) == f_min and max(seen_f) == f_max):
             raise StructuralError("closed-form f extremes disagree with permutation scan")
         if not (min(seen_g) == g_min and max(seen_g) == g_max):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -311,14 +311,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
 def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Run the density-sorting iteration for cfg.iterations steps."""
     if cfg.variant != "fw":
-        cfg = SolverConfig(
-            iterations=cfg.iterations,
-            variant="fw",
-            kind=cfg.kind,
-            initial_permutation=cfg.initial_permutation,
-            arithmetic=cfg.arithmetic,
-            stride=cfg.stride,
-        )
+        cfg = replace(cfg, variant="fw")
 
     def pick(k, x, rho, tables):
         return sort_by_density(rho)
@@ -349,14 +342,7 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
     if weights is None:
         raise NotLinearCost()
     if cfg.variant != "greedypp":
-        cfg = SolverConfig(
-            iterations=cfg.iterations,
-            variant="greedypp",
-            kind=cfg.kind,
-            initial_permutation=cfg.initial_permutation,
-            arithmetic=cfg.arithmetic,
-            stride=cfg.stride,
-        )
+        cfg = replace(cfg, variant="greedypp")
 
     def pick(k, x, rho, tables):
         gamma = 1.0 / (k + 1) if cfg.arithmetic == "binary64" else Fraction(1, k + 1)

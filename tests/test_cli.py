@@ -190,3 +190,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "decompose", fixture_path("p3"))
         assert code == 1
         assert "n <= 2" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-3"])
+    def test_env_brute_limit_malformed(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", value)
+        code, _, err = run(capsys, "decompose", fixture_path("p3"))
+        assert code == 1
+        assert "DUALMOD_BRUTE_LIMIT" in err
+
+    @pytest.mark.parametrize("kind", ["hs:abc", "hs:1/0", "hs:"])
+    def test_malformed_hockey_stick_kind(self, capsys, kind):
+        code, _, err = run(capsys, "divergence", "--x", "1/2,1/2", "--y", "1/4,3/4", "--kind", kind)
+        assert code == 1
+        assert "kind" in err

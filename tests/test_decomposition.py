@@ -26,6 +26,47 @@ def densest_by_enumeration(inst):
     return best, winners
 
 
+def decomposition_by_residual_peeling(inst):
+    """Independent oracle: enumerate the densest subsets of each residual
+    instance built by ``residual_instance``; parts in original positions."""
+    parts, densities = [], []
+    current = inst
+    index_map = list(range(inst.n))  # positions in `current` -> original ones
+    while True:
+        rho, winners = densest_by_enumeration(current)
+        mask = 0
+        for w in winners:
+            mask |= w
+        parts.append(sum(1 << index_map[i] for i in range(current.n) if mask >> i & 1))
+        densities.append(rho)
+        if mask == current.ground.full_mask:
+            return tuple(parts), tuple(densities)
+        index_map = [index_map[i] for i in range(current.n) if not mask >> i & 1]
+        current = dm.residual_instance(current, mask)
+
+
+def disjoint_pairs_instance(rng, n):
+    """Cliques of two (and one singleton when n is odd) with a linear cost;
+    distinct pair densities give k = ceil(n / 2) parts."""
+    order = [int(u) for u in rng.permutation(n)]
+    weights = rng.choice(np.arange(1, 60), size=n, replace=False)
+    edges = [(order[i], order[i + 1], F(int(weights[i]), 3)) for i in range(0, n - 1, 2)]
+    if n % 2:
+        edges.append((order[-1], order[-1], F(int(weights[-1]), 7)))
+    g = dm.Linear(tuple(F(1) for _ in range(n)))
+    ground = dm.GroundSet(tuple(f"v{i}" for i in range(n)))
+    return dm.DualModularInstance(ground=ground, f=dm.EdgesInside(tuple(edges)), g=g)
+
+
+def loops_only_instance(rng, n):
+    """Loop rewards over a linear cost with distinct ratios: k = n parts."""
+    ratios = rng.choice(np.arange(1, 100), size=n, replace=False)
+    costs = [F(int(rng.integers(1, 9)), int(rng.integers(1, 5))) for _ in range(n)]
+    edges = tuple((u, u, int(r) * c) for u, (r, c) in enumerate(zip(ratios, costs)))
+    ground = dm.GroundSet(tuple(f"v{i}" for i in range(n)))
+    return dm.DualModularInstance(ground=ground, f=dm.EdgesInside(edges), g=dm.Linear(tuple(costs)))
+
+
 class TestMaximalDensestSubset:
     def test_sec32(self, sec32):
         mask, rho = dm.maximal_densest_subset(sec32)
@@ -113,6 +154,55 @@ class TestDensityDecomposition:
             dec = dm.density_decomposition(inst)
             for hi, lo in zip(dec.densities, dec.densities[1:]):
                 assert hi > lo
+
+    @pytest.mark.parametrize(
+        "family,seed,sizes",
+        [
+            ("random", 11, range(2, 9)),
+            ("pairs", 12, range(3, 11)),
+            ("loops", 13, range(2, 11)),
+        ],
+    )
+    def test_matches_residual_peeling(self, family, seed, sizes):
+        build = {
+            "random": random_instance,
+            "pairs": disjoint_pairs_instance,
+            "loops": loops_only_instance,
+        }[family]
+        rng = np.random.default_rng(seed)
+        for n in sizes:
+            inst = build(rng, n)
+            dec = dm.density_decomposition(inst)
+            assert (dec.parts, dec.densities) == decomposition_by_residual_peeling(inst)
+            if family == "pairs":
+                assert dec.k == (n + 1) // 2
+            if family == "loops":
+                assert dec.k == n
+
+    def test_peels_evaluate_no_subset_after_the_table(self, monkeypatch):
+        inst = loops_only_instance(np.random.default_rng(14), 12)
+        calls = []
+        value = dm.EdgesInside.value
+
+        def counted(self, mask):
+            calls.append(mask)
+            return value(self, mask)
+
+        monkeypatch.setattr(dm.EdgesInside, "value", counted)
+        assert dm.density_decomposition(inst).k == 12
+        assert calls == []
+
+    def test_later_peel_names_original_mask(self):
+        # the cost is not monotone, so after the parts {a} and {b} the
+        # marginal g(c | a, b) is 0 while f(c | a, b) = 1
+        f = dm.ExplicitTable(tuple(F(v) for v in (0, 3, 0, 0, 1, 1, 0, 1)))
+        g = dm.ExplicitTable(tuple(F(v) for v in (0, 2, 3, 1, 1, 3, 2, 1)))
+        ground = dm.GroundSet(("a", "b", "c"))
+        inst = dm.DualModularInstance(ground=ground, f=f, g=g)
+        assert dm.maximal_densest_subset(inst) == (ground.mask_of(["a"]), F(3, 2))
+        with pytest.raises(InfiniteDensity) as exc:
+            dm.density_decomposition(inst)
+        assert exc.value.mask == ground.mask_of(["c"])
 
     def test_recursion_consistency(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ from dualmod.errors import (
     NegativeEta,
     NotStrictlyMonotone,
     SchemaError,
+    StructuralError,
     ZeroTotal,
 )
 
@@ -16,6 +18,22 @@ from conftest import random_instance
 
 def masks(ground, *labels):
     return ground.mask_of(labels)
+
+
+def extremes_by_permutations(inst):
+    """Independent oracle: the extremal marginals met along all n! orders."""
+    ftab, gtab = inst.tables()
+    seen_f, seen_g = [], []
+    for order in itertools.permutations(range(inst.n)):
+        prefix = 0
+        for u in order:
+            nxt = prefix | (1 << u)
+            seen_f.append(ftab[nxt] - ftab[prefix])
+            seen_g.append(gtab[nxt] - gtab[prefix])
+            prefix = nxt
+    return dm.Extremes(
+        f_min=min(seen_f), f_max=max(seen_f), g_min=min(seen_g), g_max=max(seen_g)
+    )
 
 
 class TestGroundSet:
@@ -262,6 +280,28 @@ class TestExtremes:
         for _ in range(10):
             inst = random_instance(rng, int(rng.integers(2, 6)))
             dm.extremes(inst)  # raises if the closed forms disagree with the scan
+
+    def test_matches_permutation_scan(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 3, 4, 5, 6, 6):
+            inst = random_instance(rng, n)
+            assert dm.extremes(inst) == extremes_by_permutations(inst)
+
+    @pytest.mark.parametrize("n,raises", [(2, True), (7, True), (8, False)])
+    def test_submodular_reward_caught_up_to_seven(self, n, raises):
+        # a submodular reward has its smallest marginal on the full prefix,
+        # not on the empty one; only ground sets up to 7 are scanned
+        phi = tuple(F(2 * k * n - k * k) for k in range(n + 1))
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+            f=dm.ConcaveOfCardinality(phi),
+            g=dm.Linear(tuple(F(1) for _ in range(n))),
+        )
+        if raises:
+            with pytest.raises(StructuralError, match="f extremes"):
+                dm.extremes(inst)
+        else:
+            assert dm.extremes(inst).f_min == phi[1]
 
 
 class TestMarginalMonotonicity:
