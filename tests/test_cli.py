@@ -198,6 +198,12 @@ class TestErrorPaths:
         assert code == 1
         assert "DUALMOD_BRUTE_LIMIT" in err
 
+    @pytest.mark.parametrize("command,value", [("verify", "-1"), ("decompose", "-3")])
+    def test_negative_max_n(self, capsys, command, value):
+        code, _, err = run(capsys, command, fixture_path("p3"), "--max-n", value)
+        assert code == 1
+        assert "max_n" in err
+
     @pytest.mark.parametrize("kind", ["hs:abc", "hs:1/0", "hs:"])
     def test_malformed_hockey_stick_kind(self, capsys, kind):
         code, _, err = run(capsys, "divergence", "--x", "1/2,1/2", "--y", "1/4,3/4", "--kind", kind)

@@ -150,6 +150,22 @@ class TestVerify:
         with pytest.raises(dm.errors.GroundSetTooLarge):
             dm.verify_dual_modularity(sec32, max_n=2)
 
+    def test_negative_max_n_names_option(self, sec32):
+        with pytest.raises(SchemaError) as exc:
+            dm.verify_dual_modularity(sec32, max_n=-1)
+        assert exc.value.field == "max_n"
+
+    def test_default_cap(self, monkeypatch):
+        monkeypatch.delenv("DUALMOD_BRUTE_LIMIT", raising=False)
+        n = dm.instance.DEFAULT_VERIFY_LIMIT + 1
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+            f=dm.Linear(tuple(F(1) for _ in range(n))),
+            g=dm.Linear(tuple(F(1) for _ in range(n))),
+        )
+        with pytest.raises(dm.errors.GroundSetTooLarge):
+            dm.verify_dual_modularity(inst)
+
     def test_supermodularity_witness_is_real(self):
         # not supermodular: concave of cardinality used as a reward
         ground = dm.GroundSet(("x", "y"))
@@ -213,6 +229,14 @@ class TestComplement:
         inst = self._strict_instance()
         comp = dm.complement_instance(inst)
         assert comp.f.value(3) == inst.g.value(3)
+
+    def test_tabulates_once(self, monkeypatch):
+        calls = []
+        table = dm.Linear.table
+        monkeypatch.setattr(dm.Linear, "table", lambda spec, n: calls.append(spec) or table(spec, n))
+        inst = self._strict_instance()
+        dm.complement_instance(inst)
+        assert calls == [inst.f, inst.g]
 
     def test_requires_strict_reward(self, p3):
         # path-graph reward vanishes on singletons, so it is not strictly monotone
