@@ -4,6 +4,8 @@ Run:  python demos/03_solver_convergence.py
 """
 
 import math
+import os
+import tempfile
 from fractions import Fraction as F
 
 import dualmod as dm
@@ -48,5 +50,6 @@ gpp = dm.greedy_plus_plus(inst, dm.SolverConfig(iterations=2000, variant="greedy
 print("greedy++ final density error:", l2(gpp.final_rho, dec.rho_star))
 
 # Traces export to CSV for plotting elsewhere.
-trace.to_csv("/tmp/tri_iso_trace.csv")
-print("wrote /tmp/tri_iso_trace.csv")
+csv_path = os.path.join(tempfile.gettempdir(), "tri_iso_trace.csv")
+trace.to_csv(csv_path)
+print("wrote", csv_path)

@@ -482,16 +482,22 @@ def _first_local_violation(tab: list[int], n: int, sign: int) -> Optional[tuple[
     return None
 
 
-def _first_monotonicity_violation(tab: list[int], n: int, strict: bool) -> Optional[tuple[int, int]]:
+def _first_monotonicity_violations(tab: list[int], n: int) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    # One scan over the one-element steps (S, S+u), S ascending, then u:
+    # the first with h(S+u) < h(S) and the first with h(S+u) <= h(S).
+    strict = None
     for s in range(1 << n):
         base = tab[s]
         for u in range(n):
             if s >> u & 1:
                 continue
             bigger = tab[s | (1 << u)]
-            if bigger < base or (strict and bigger == base):
-                return s, s | (1 << u)
-    return None
+            if bigger <= base:
+                step = s, s | (1 << u)
+                strict = strict or step
+                if bigger < base:
+                    return step, strict
+    return None, strict
 
 
 def _verify_tables(inst: DualModularInstance, max_n: Optional[int]) -> tuple[list[int], list[int]]:
@@ -502,19 +508,23 @@ def _verify_tables(inst: DualModularInstance, max_n: Optional[int]) -> tuple[lis
     return _int_table(ftab), _int_table(gtab)
 
 
-def _structure_report(ftab: list[int], gtab: list[int], n: int) -> StructureReport:
+def _structure_report(ftab: list[int], gtab: list[int], n: int) -> tuple[StructureReport, Optional[tuple[int, int]]]:
+    """The report, and the first step on which f does not strictly increase."""
+    f_weak, f_strict = _first_monotonicity_violations(ftab, n)
+    g_weak, g_strict = _first_monotonicity_violations(gtab, n)
     # insertion order fixes the order of the witnesses in the JSON report
     violations = {
         "f_supermodular": _first_local_violation(ftab, n, 1),
         "g_submodular": _first_local_violation(gtab, n, -1),
-        "f_monotone": _first_monotonicity_violation(ftab, n, strict=False),
-        "g_monotone": _first_monotonicity_violation(gtab, n, strict=False),
-        "g_strictly_monotone": _first_monotonicity_violation(gtab, n, strict=True),
+        "f_monotone": f_weak,
+        "g_monotone": g_weak,
+        "g_strictly_monotone": g_strict,
     }
-    return StructureReport(
+    report = StructureReport(
         **{prop: w is None for prop, w in violations.items()},
         witnesses={prop: w for prop, w in violations.items() if w is not None},
     )
+    return report, f_strict
 
 
 def verify_dual_modularity(inst: DualModularInstance, max_n: Optional[int] = None) -> StructureReport:
@@ -528,7 +538,7 @@ def verify_dual_modularity(inst: DualModularInstance, max_n: Optional[int] = Non
     Both tables are compared as integers with zero tolerance.  Ground sets
     above the limit are refused, since the tables alone hold 2^n values.
     """
-    return _structure_report(*_verify_tables(inst, max_n), inst.n)
+    return _structure_report(*_verify_tables(inst, max_n), inst.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +563,13 @@ def complement_instance(inst: DualModularInstance, max_n: Optional[int] = None) 
     """
     n = inst.n
     ftab, gtab = _verify_tables(inst, max_n)
-    report = _structure_report(ftab, gtab, n)
+    report, f_strict = _structure_report(ftab, gtab, n)
     if not report.dual_modular:
         if not report.g_strictly_monotone:
             raise NotStrictlyMonotone("g", report.witnesses.get("g_strictly_monotone"))
         raise StructuralError(f"instance is not dual-modular: {report}")
-    w = _first_monotonicity_violation(ftab, n, strict=True)
-    if w is not None:
-        raise NotStrictlyMonotone("f", w)
+    if f_strict is not None:
+        raise NotStrictlyMonotone("f", f_strict)
     return DualModularInstance(
         ground=inst.ground,
         f=ComplementOf(inst.g, n),
@@ -688,11 +697,16 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
                 raise SchemaError(f"{field_name}.values", f"non-integer mask key {key!r}") from None
             if not 0 <= m < size:
                 raise SchemaError(f"{field_name}.values", f"mask key {m} out of range")
+            if values[m] is not None:
+                raise SchemaError(f"{field_name}.values", f"mask {m} given twice (key {key!r})")
             values[m] = parse_rational(v, f"{field_name}.values[{key}]")
         return ExplicitTable(tuple(values))
     if kind == "edges_inside":
+        raw = obj.get("edges", [])
+        if not isinstance(raw, list):
+            raise SchemaError(f"{field_name}.edges", "expected a list of [u, v, weight]")
         edges = []
-        for i, e in enumerate(obj.get("edges", [])):
+        for i, e in enumerate(raw):
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise SchemaError(f"{field_name}.edges[{i}]", "expected [u, v, weight]")
             u = e[0] if isinstance(e[0], int) else ground.index_of(e[0])

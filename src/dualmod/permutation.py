@@ -94,7 +94,7 @@ class WeightedPermutationList:
 
 def vertex(spec: SetFunctionSpec, sigma: Permutation) -> tuple[Fraction, ...]:
     """Marginal vector h^sigma, indexed by element; coordinates sum to h(V)."""
-    out = [Fraction(0)] * sigma.n
+    out = [0] * sigma.n  # every coordinate is overwritten: sigma orders all n
     prefix = 0
     prev = spec.value(0)
     for u in sigma.order:

@@ -13,6 +13,11 @@ the next choice.
   permutation back to front by repeatedly extracting the element with the
   smallest blended score.
 
+A run evaluates f and g only at the masks it visits (the prefixes of each
+chosen permutation, and for Greedy++ the one-element removals from each
+remaining set), each mask once; no table of all 2^n values is built, so
+the ground set has no size limit here.
+
 A run is sequential; traces are immutable once returned.
 """
 
@@ -44,8 +49,6 @@ from .instance import (
 )
 from .permutation import Allocation, Permutation, sort_by_density, vertex
 from .rational import format_rational
-
-_TABLE_LIMIT = 20  # above this, marginals are evaluated directly per call
 
 
 @dataclass(frozen=True)
@@ -178,52 +181,26 @@ def partial_derivative(
 # ---------------------------------------------------------------------------
 
 
-class _Tables:
-    """Value tables for fast prefix-marginal walks, float or exact."""
+class _Memo(dict):
+    """One set function at the masks a run visits, each evaluated once.
 
-    def __init__(self, inst: DualModularInstance, as_float: bool):
-        self.n = inst.n
-        self.as_float = as_float
-        if inst.n <= _TABLE_LIMIT:
-            ftab = inst.f.table(inst.n)
-            gtab = inst.g.table(inst.n)
-            if as_float:
-                ftab = [float(v) for v in ftab]
-                gtab = [float(v) for v in gtab]
-            self._f = ftab
-            self._g = gtab
-            self._inst = None
-        else:
-            self._f = None
-            self._g = None
-            self._inst = inst
+    In binary64 mode a value is converted to float once, when it is stored.
+    A Frank-Wolfe step visits n + 1 prefixes and a Greedy++ step at most n^2
+    masks, so T steps hold at most min(2^n, T n^2) values.
+    """
 
-    def f_at(self, mask: int):
-        if self._f is not None:
-            return self._f[mask]
-        v = self._inst.f.value(mask)
-        return float(v) if self.as_float else v
+    def __init__(self, spec: SetFunctionSpec, as_float: bool):
+        super().__init__()
+        self._spec = spec
+        self._as_float = as_float
 
-    def g_at(self, mask: int):
-        if self._g is not None:
-            return self._g[mask]
-        v = self._inst.g.value(mask)
-        return float(v) if self.as_float else v
+    def __missing__(self, mask: int):
+        v = self._spec.value(mask)
+        self[mask] = v = float(v) if self._as_float else v
+        return v
 
-    def vertices(self, sigma: Permutation):
-        fx = [0] * self.n
-        gx = [0] * self.n
-        prefix = 0
-        fprev = self.f_at(0)
-        gprev = self.g_at(0)
-        for u in sigma.order:
-            prefix |= 1 << u
-            fcur = self.f_at(prefix)
-            gcur = self.g_at(prefix)
-            fx[u] = fcur - fprev
-            gx[u] = gcur - gprev
-            fprev, gprev = fcur, gcur
-        return fx, gx
+    # a plain dict lookup: a mask already stored costs no Python-level call
+    value = dict.__getitem__
 
 
 def _densities(x, y, labels):
@@ -262,17 +239,18 @@ def _phi_values(x, y):
 
 def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrace:
     as_float = cfg.arithmetic == "binary64"
-    tables = _Tables(inst, as_float)
+    f = _Memo(inst.f, as_float)
+    g = _Memo(inst.g, as_float)
     labels = inst.ground.labels
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = tables.vertices(sigma0)
+    x, y = vertex(f, sigma0), vertex(g, sigma0)
 
     rows = []
     for k in range(cfg.iterations):
         rho = _densities(x, y, labels)
-        sigma = pick_sigma(k, x, rho, tables)
+        sigma = pick_sigma(k, x, rho, f)
         snapshot = k % cfg.stride == 0 or k == cfg.iterations - 1
         quad, kl, eg = _phi_values(x, y)
         rows.append(
@@ -286,7 +264,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
                 allocation=(tuple(x), tuple(y)) if snapshot else None,
             )
         )
-        c, d = tables.vertices(sigma)
+        c, d = vertex(f, sigma), vertex(g, sigma)
         if cfg.variant == "greedypp":
             gamma = 1.0 / (k + 1) if as_float else Fraction(1, k + 1)
         else:
@@ -313,7 +291,7 @@ def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     if cfg.variant != "fw":
         cfg = replace(cfg, variant="fw")
 
-    def pick(k, x, rho, tables):
+    def pick(k, x, rho, f):
         return sort_by_density(rho)
 
     return _run(inst, cfg, pick)
@@ -344,12 +322,12 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
     if cfg.variant != "greedypp":
         cfg = replace(cfg, variant="greedypp")
 
-    def pick(k, x, rho, tables):
+    def pick(k, x, rho, f):
         gamma = 1.0 / (k + 1) if cfg.arithmetic == "binary64" else Fraction(1, k + 1)
         keep = 1 - gamma
         remaining = inst.ground.full_mask
         order_rev = []
-        f_rem = tables.f_at(remaining)
+        f_rem = f.value(remaining)
         while remaining:
             best_u = None
             best_score = None
@@ -357,13 +335,13 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
             while m:
                 u = (m & -m).bit_length() - 1
                 m &= m - 1
-                score = keep * x[u] + gamma * (f_rem - tables.f_at(remaining ^ (1 << u)))
+                score = keep * x[u] + gamma * (f_rem - f.value(remaining ^ (1 << u)))
                 if best_score is None or score < best_score:
                     best_score = score
                     best_u = u
             order_rev.append(best_u)
             remaining ^= 1 << best_u
-            f_rem = tables.f_at(remaining)
+            f_rem = f.value(remaining)
         return Permutation(tuple(reversed(order_rev)))
 
     return _run(inst, cfg, pick)

@@ -209,3 +209,38 @@ class TestErrorPaths:
         code, _, err = run(capsys, "divergence", "--x", "1/2,1/2", "--y", "1/4,3/4", "--kind", kind)
         assert code == 1
         assert "kind" in err
+
+    @pytest.mark.parametrize("field", ["f", "g"])
+    def test_edges_not_a_list(self, capsys, tmp_path, field):
+        specs = {"f": {"kind": "linear", "weights": [1]}, "g": {"kind": "linear", "weights": [1]}}
+        specs[field] = {"kind": "edges_inside", "edges": 5}
+        bad = os.path.join(tmp_path, "bad.json")
+        with open(bad, "w") as fh:
+            json.dump({"labels": ["a"], **specs}, fh)
+        code, _, err = run(capsys, "verify", bad)
+        assert code == 1
+        assert f"{field}.edges" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "labels,values",
+        [
+            (["a"], {"00": 1, "0": 0}),
+            (["a", "b", "c", "d"], {**{str(m): m for m in range(16) if m != 11}, "1_0": 10}),
+        ],
+    )
+    def test_table_mask_given_twice(self, capsys, tmp_path, labels, values):
+        bad = os.path.join(tmp_path, "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(
+                {
+                    "labels": labels,
+                    "f": {"kind": "explicit_table", "values": values},
+                    "g": {"kind": "linear", "weights": [1] * len(labels)},
+                },
+                fh,
+            )
+        code, _, err = run(capsys, "verify", bad)
+        assert code == 1
+        assert "f.values" in err
+        assert "given twice" in err

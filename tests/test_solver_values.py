@@ -1,0 +1,153 @@
+"""The solver's value path against iterations that read f and g another way.
+
+The solver evaluates f and g at the masks a run visits, each once, through
+a per-run memo.  The references here repeat the same iteration reading the
+values from full 2^n tables (n <= 8), or from a fresh ``spec.value`` call
+on every visit through ``dm.vertex`` (n = 21, where a table would hold two
+million values each), and must give identical rows and final x, y.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+import dualmod as dm
+from dualmod.solver import TraceRow, _phi_values
+
+from conftest import rand_frac, random_instance
+
+
+class Direct:
+    """A set function evaluated afresh on every call, float in binary64 mode."""
+
+    def __init__(self, spec, as_float):
+        self.spec = spec
+        self.as_float = as_float
+
+    def value(self, mask):
+        v = self.spec.value(mask)
+        return float(v) if self.as_float else v
+
+    __getitem__ = value
+
+
+def table_walk(tab, sigma):
+    out = [0] * sigma.n
+    prefix = 0
+    for u in sigma.order:
+        out[u] = tab[prefix | 1 << u] - tab[prefix]
+        prefix |= 1 << u
+    return out
+
+
+def greedy_order(f, x, k, as_float):
+    gamma = 1.0 / (k + 1) if as_float else F(1, k + 1)
+    keep = 1 - gamma
+    remaining = (1 << len(x)) - 1
+    order = []
+    while remaining:
+        members = [u for u in range(len(x)) if remaining >> u & 1]
+        best = min(members, key=lambda u: (keep * x[u] + gamma * (f[remaining] - f[remaining ^ 1 << u]), u))
+        order.append(best)
+        remaining ^= 1 << best
+    return dm.Permutation(tuple(reversed(order)))
+
+
+def reference_run(inst, cfg, f, g, walk):
+    """Rows (all snapshots) and final x, y of the iteration, values read from f, g."""
+    as_float = cfg.arithmetic == "binary64"
+    sigma = cfg.initial_permutation or dm.Permutation.identity(inst.n)
+    x, y = walk(f, sigma), walk(g, sigma)
+    rows = []
+    for k in range(cfg.iterations):
+        rho = tuple(a / b for a, b in zip(x, y))
+        if cfg.variant == "fw":
+            sigma = dm.sort_by_density(rho)
+        else:
+            sigma = greedy_order(f, x, k, as_float)
+        rows.append(TraceRow(k, *_phi_values(x, y), sigma=sigma, rho=rho, allocation=(tuple(x), tuple(y))))
+        num, den = (1, k + 1) if cfg.variant == "greedypp" else (2, k + 2)
+        gamma = num / den if as_float else F(num, den)
+        c, d = walk(f, sigma), walk(g, sigma)
+        x = [(1 - gamma) * xu + gamma * cu for xu, cu in zip(x, c)]
+        y = [(1 - gamma) * yu + gamma * du for yu, du in zip(y, d)]
+    return tuple(rows), tuple(x), tuple(y)
+
+
+def with_linear_cost(rng, inst):
+    weights = tuple(rand_frac(rng) for _ in range(inst.n))
+    return dm.DualModularInstance(ground=inst.ground, f=inst.f, g=dm.Linear(weights))
+
+
+def cases(rng, n):
+    inst = random_instance(rng, n)
+    return [(inst, "fw"), (with_linear_cost(rng, inst), "greedypp")]
+
+
+def assert_same_run(inst, cfg, f, g, walk):
+    trace = dm.solve(inst, cfg)
+    rows, x, y = reference_run(inst, cfg, f, g, walk)
+    assert trace.rows == rows
+    assert (trace.final_x, trace.final_y) == (x, y)
+
+
+@pytest.mark.parametrize("arithmetic,T", [("binary64", 40), ("rational", 15)])
+def test_memo_matches_full_table_walk(arithmetic, T):
+    rng = np.random.default_rng(51)
+    as_float = arithmetic == "binary64"
+    for n in range(2, 9):
+        for inst, variant in cases(rng, n):
+            cfg = dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic, stride=1)
+            f, g = inst.tables()
+            if as_float:
+                f, g = [float(v) for v in f], [float(v) for v in g]
+            assert_same_run(inst, cfg, f, g, table_walk)
+
+
+@pytest.mark.parametrize("arithmetic,T", [("binary64", 12), ("rational", 6)])
+def test_memo_matches_direct_walk_above_old_table_size(arithmetic, T):
+    rng = np.random.default_rng(52)
+    as_float = arithmetic == "binary64"
+    for inst, variant in cases(rng, 21):
+        cfg = dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic, stride=1)
+        assert_same_run(inst, cfg, Direct(inst.f, as_float), Direct(inst.g, as_float), dm.vertex)
+
+
+def prefixes(sigma):
+    out = {0}
+    prefix = 0
+    for u in sigma.order:
+        prefix |= 1 << u
+        out.add(prefix)
+    return out
+
+
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
+    calls = Counter()
+
+    def counting(cls):
+        original = cls.value
+
+        def value(self, mask):
+            calls[cls.__name__, mask] += 1
+            return original(self, mask)
+
+        monkeypatch.setattr(cls, "value", value)
+
+    for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear):
+        counting(cls)
+    rng = np.random.default_rng(53)
+    for inst, variant in cases(rng, 10):
+        calls.clear()
+        cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
+        trace = dm.solve(inst, cfg)
+        assert calls and max(calls.values()) == 1
+        if variant == "fw":
+            # exactly the prefixes of the start order and of every chosen order
+            orders = [dm.Permutation.identity(10)] + [r.sigma for r in trace.rows]
+            visited = set().union(*map(prefixes, orders))
+            assert {mask for (name, mask) in calls if name == "EdgesInside"} == visited
+            assert {mask for (name, mask) in calls if name == "Perturbed"} == visited
