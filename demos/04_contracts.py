@@ -40,10 +40,12 @@ print()
 # A two-tier family shows why approximate densities are not enough for
 # contracts: between the two densities everything except the exact top tier
 # is strictly unprofitable.
+# The tables are integers over one denominator each: f(S) = F[S] / Df and
+# g(S) = G[S] / Dg, so f(S) - gamma g(S) has the sign of F[S] Dg - gamma G[S] Df.
 inst = dm.two_tier_instance(3, 2)
-ftab, gtab = inst.tables()
+(ftab, df), (gtab, dg) = inst.tables()
 top = 0b111
 gamma = F(3, 2)
-profitable = [s for s in range(1, 1 << inst.n) if ftab[s] - gamma * gtab[s] > 0]
+profitable = [s for s in range(1, 1 << inst.n) if ftab[s] * dg - gamma * gtab[s] * df > 0]
 print("profitable subsets at gamma = 3/2:", [inst.ground.labels_of(s) for s in profitable])
 assert profitable == [top]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from .contracts import analyze_contracts, best_response, agent_utility, principal_utility
@@ -118,7 +119,12 @@ def _cmd_solve(args) -> int:
         out["error_bounds"] = None
         out["error_bounds_note"] = "no curvature chain for the hockey-stick generator"
     else:
-        bounds = error_bounds(normalize(inst), kind, args.T)
+        # one plain line per library warning (f_min = 0) instead of Python's source-line format
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bounds = error_bounds(normalize(inst), kind, args.T)
+        for w in caught:
+            print(f"note: {w.message}", file=sys.stderr)
         out["error_bounds"] = bounds.to_json()
         out["error_bounds_note"] = "constants refer to the normalized instance"
     _emit(out)

@@ -70,16 +70,19 @@ def best_response_bruteforce(
     n = inst.n
     if n > limit:
         raise GroundSetTooLarge(n, limit, "best_response_bruteforce")
-    ftab, gtab = inst.tables()
+    # for alpha = p/q, alpha f(S) - g(S) = (p F[S] Dg - q G[S] Df) / (q Df Dg)
+    (ftab, df), (gtab, dg) = inst.tables()
+    pf, qg = alpha.numerator * dg, alpha.denominator * df
     best_key = None
     ties: list[int] = []
     for s in range(1 << n):
-        key = (alpha * ftab[s] - gtab[s], ftab[s])
+        key = (pf * ftab[s] - qg * gtab[s], ftab[s])
         if best_key is None or key > best_key:
             best_key = key
             ties = [s]
         elif key == best_key:
             ties.append(s)
+    value = Fraction(best_key[0], alpha.denominator * df * dg)
     if len(ties) > 1:
         try:
             dec = density_decomposition(inst, max_n)
@@ -88,8 +91,8 @@ def best_response_bruteforce(
         if dec is not None:
             prefix = best_response(inst, dec, alpha)
             if prefix in ties:
-                return prefix, best_key[0]
-    return ties[0], best_key[0]
+                return prefix, value
+    return ties[0], value
 
 
 def critical_values(dec: DensityDecomposition) -> list[Fraction]:

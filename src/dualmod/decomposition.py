@@ -21,7 +21,6 @@ from .instance import (
     DEFAULT_DECOMP_LIMIT,
     DualModularInstance,
     GroundSet,
-    _int_table,
     brute_limit,
 )
 from .rational import format_rational
@@ -119,14 +118,14 @@ def _peels(inst: DualModularInstance, max_n: Optional[int]):
     limit = brute_limit(DEFAULT_DECOMP_LIMIT, max_n)
     if inst.n > limit:
         raise GroundSetTooLarge(inst.n, limit, "maximal_densest_subset")
-    ftab, gtab = inst.tables()
-    fint, gint = _int_table(ftab), _int_table(gtab)
+    (ftab, df), (gtab, dg) = inst.tables()
     full = inst.ground.full_mask
     anchor = 0
     while anchor != full:
-        part = _densest_extension(fint, gint, anchor, full ^ anchor)
+        part = _densest_extension(ftab, gtab, anchor, full ^ anchor)
         union = anchor | part
-        yield part, (ftab[union] - ftab[anchor]) / (gtab[union] - gtab[anchor])
+        # (F/Df) / (G/Dg) over the marginals of the new part
+        yield part, Fraction((ftab[union] - ftab[anchor]) * dg, (gtab[union] - gtab[anchor]) * df)
         anchor = union
 
 

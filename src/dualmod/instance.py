@@ -8,8 +8,10 @@ marginal restriction).  Structural properties -- supermodularity of the
 reward, submodularity and strict monotonicity of the cost -- are *checked
 on every second difference and every one-element step*, never assumed.
 
-All arithmetic in this module is exact (`fractions.Fraction`); nothing here
-ever rounds.
+Values are exact rationals (`fractions.Fraction`), and every table of all
+2^n values is a list of Python ints over one positive denominator, read as
+is by verification, decomposition, membership, contracts and `extremes`.
+Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -112,20 +114,33 @@ class GroundSet:
 # ---------------------------------------------------------------------------
 
 
+def _over_common_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with ints[i] == values[i] * den; den is the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class SetFunctionSpec:
     """Base of every set-function representation.
 
     Subclasses implement ``value(mask)`` returning the exact rational value
-    of the encoded subset.  ``table(n)`` materialises all 2^n values; the
-    generic implementation just loops, structured kinds override it with a
-    cheaper recurrence.
+    of the encoded subset.  ``table(n)`` materialises all 2^n values as
+    integers over one denominator: ``(values, den)`` with
+    ``values[mask] == value(mask) * den``.  The generic implementation
+    clears the denominators of ``value`` on every mask; structured kinds
+    clear those of their inputs once and run an integer recurrence.
+    ``check(n)`` raises :class:`SchemaError` unless the spec fits a ground
+    set of n elements; instances call it at construction.
     """
 
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
-    def table(self, n: int) -> list[Fraction]:
-        return [self.value(s) for s in range(1 << n)]
+    def table(self, n: int) -> tuple[list[int], int]:
+        return _over_common_den([self.value(s) for s in range(1 << n)])
+
+    def check(self, n: int) -> None:
+        pass
 
     def to_json(self, n: int) -> dict:
         raise NotImplementedError
@@ -150,10 +165,12 @@ class ExplicitTable(SetFunctionSpec):
             raise SchemaError("values", f"mask {mask} out of table range {len(self.values)}")
         return self.values[mask]
 
-    def table(self, n: int) -> list[Fraction]:
+    def table(self, n: int) -> tuple[list[int], int]:
+        return _over_common_den(self.values)
+
+    def check(self, n: int) -> None:
         if len(self.values) != (1 << n):
             raise SchemaError("values", f"table has {len(self.values)} entries, expected {1 << n}")
-        return list(self.values)
 
     def to_json(self, n: int) -> dict:
         return {
@@ -184,14 +201,13 @@ class EdgesInside(SetFunctionSpec):
                 total += w
         return total
 
-    def table(self, n: int) -> list[Fraction]:
-        adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            if u >= n or v >= n:
-                raise SchemaError("edges", f"edge ({u}, {v}) outside ground set of size {n}")
+    def table(self, n: int) -> tuple[list[int], int]:
+        weights, den = _over_common_den([w for _, _, w in self.edges])
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v, _), w in zip(self.edges, weights):
             lo, hi = min(u, v), max(u, v)
             adj[lo].append((hi, w))
-        tab = [_ZERO] * (1 << n)
+        tab = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
             rest = mask ^ (1 << low)
@@ -200,7 +216,12 @@ class EdgesInside(SetFunctionSpec):
                 if other == low or mask >> other & 1:
                     total += w
             tab[mask] = total
-        return tab
+        return tab, den
+
+    def check(self, n: int) -> None:
+        for u, v, _ in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise SchemaError("edges", f"edge ({u}, {v}) outside ground set of size {n}")
 
     def to_json(self, n: int) -> dict:
         return {
@@ -227,12 +248,17 @@ class Linear(SetFunctionSpec):
             m &= m - 1
         return total
 
-    def table(self, n: int) -> list[Fraction]:
-        tab = [_ZERO] * (1 << n)
+    def table(self, n: int) -> tuple[list[int], int]:
+        weights, den = _over_common_den(self.weights)
+        tab = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
-            tab[mask] = tab[mask ^ (1 << low)] + self.weights[low]
-        return tab
+            tab[mask] = tab[mask ^ (1 << low)] + weights[low]
+        return tab, den
+
+    def check(self, n: int) -> None:
+        if len(self.weights) != n:
+            raise SchemaError("weights", f"{len(self.weights)} weights, expected {n}")
 
     def to_json(self, n: int) -> dict:
         return {"kind": "linear", "weights": [format_rational(w) for w in self.weights]}
@@ -258,10 +284,13 @@ class ConcaveOfCardinality(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.phi[mask.bit_count()]
 
-    def table(self, n: int) -> list[Fraction]:
+    def table(self, n: int) -> tuple[list[int], int]:
+        phi, den = _over_common_den(self.phi)
+        return [phi[m.bit_count()] for m in range(1 << n)], den
+
+    def check(self, n: int) -> None:
         if len(self.phi) != n + 1:
             raise SchemaError("phi", f"phi has {len(self.phi)} entries, expected {n + 1}")
-        return [self.phi[m.bit_count()] for m in range(1 << n)]
 
     def to_json(self, n: int) -> dict:
         return {"kind": "concave_of_cardinality", "phi": [format_rational(v) for v in self.phi]}
@@ -279,8 +308,12 @@ class Scaled(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.factor * self.base.value(mask)
 
-    def table(self, n: int) -> list[Fraction]:
-        return [self.factor * v for v in self.base.table(n)]
+    def table(self, n: int) -> tuple[list[int], int]:
+        tab, den = self.base.table(n)
+        return [self.factor.numerator * v for v in tab], den * self.factor.denominator
+
+    def check(self, n: int) -> None:
+        self.base.check(n)
 
     def to_json(self, n: int) -> dict:
         return {"kind": "scaled", "base": self.base.to_json(n), "factor": format_rational(self.factor)}
@@ -300,8 +333,15 @@ class Perturbed(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.base.value(mask) + self.eta * mask.bit_count()
 
-    def table(self, n: int) -> list[Fraction]:
-        return [v + self.eta * m.bit_count() for m, v in enumerate(self.base.table(n))]
+    def table(self, n: int) -> tuple[list[int], int]:
+        # base/den + (p/q) |S| = (q base + p den |S|) / (q den)
+        tab, den = self.base.table(n)
+        p, q = self.eta.numerator, self.eta.denominator
+        step = p * den
+        return [q * v + step * m.bit_count() for m, v in enumerate(tab)], q * den
+
+    def check(self, n: int) -> None:
+        self.base.check(n)
 
     def to_json(self, n: int) -> dict:
         return {"kind": "perturbed", "base": self.base.to_json(n), "eta": format_rational(self.eta)}
@@ -318,12 +358,15 @@ class ComplementOf(SetFunctionSpec):
         full = (1 << self.n) - 1
         return self.base.value(full) - self.base.value(full ^ mask)
 
-    def table(self, n: int) -> list[Fraction]:
+    def table(self, n: int) -> tuple[list[int], int]:
+        b, den = self.base.table(n)
+        full = (1 << n) - 1
+        return [b[full] - b[full ^ m] for m in range(1 << n)], den
+
+    def check(self, n: int) -> None:
         if n != self.n:
             raise SchemaError("base", f"complement built for n={self.n}, asked for n={n}")
-        b = self.base.table(n)
-        full = (1 << n) - 1
-        return [b[full] - b[full ^ m] for m in range(1 << n)]
+        self.base.check(n)
 
     def to_json(self, n: int) -> dict:
         return {"kind": "complement_of", "base": self.base.to_json(n)}
@@ -355,7 +398,7 @@ class Marginal(SetFunctionSpec):
         return self.base.value(self._expand(mask) | self.anchor) - self.base.value(self.anchor)
 
     def to_json(self, n: int) -> dict:
-        return ExplicitTable(tuple(self.table(n))).to_json(n)
+        return ExplicitTable(tuple(self.value(m) for m in range(1 << n))).to_json(n)
 
 
 def evaluate(spec: SetFunctionSpec, mask: int) -> Fraction:
@@ -389,6 +432,8 @@ class DualModularInstance:
     check_totals: InitVar[bool] = True
 
     def __post_init__(self, check_totals: bool):
+        self.f.check(self.n)
+        self.g.check(self.n)
         if check_totals:
             full = self.ground.full_mask
             fv = self.f.value(full)
@@ -410,7 +455,8 @@ class DualModularInstance:
     def g_value(self, mask: int) -> Fraction:
         return self.g.value(mask)
 
-    def tables(self) -> tuple[list[Fraction], list[Fraction]]:
+    def tables(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+        """((F, Df), (G, Dg)) with F[mask] == f(mask) * Df and G[mask] == g(mask) * Dg."""
         return self.f.table(self.n), self.g.table(self.n)
 
 
@@ -452,13 +498,6 @@ class StructureReport:
             },
         }
         return out
-
-
-def _int_table(tab: Sequence[Fraction]) -> list[int]:
-    # Comparisons of sums and of ratios are scale-invariant, so clearing
-    # denominators once turns the verify and densest-subset scans into integers.
-    scale = math.lcm(*(v.denominator for v in tab))
-    return [v.numerator * (scale // v.denominator) for v in tab]
 
 
 def _first_local_violation(tab: list[int], n: int, sign: int) -> Optional[tuple[int, int]]:
@@ -504,8 +543,9 @@ def _verify_tables(inst: DualModularInstance, max_n: Optional[int]) -> tuple[lis
     limit = brute_limit(DEFAULT_VERIFY_LIMIT, max_n)
     if inst.n > limit:
         raise GroundSetTooLarge(inst.n, limit, "verify_dual_modularity")
-    ftab, gtab = inst.tables()
-    return _int_table(ftab), _int_table(gtab)
+    # sums and second differences compare the same at any positive scale
+    (ftab, _), (gtab, _) = inst.tables()
+    return ftab, gtab
 
 
 def _structure_report(ftab: list[int], gtab: list[int], n: int) -> tuple[StructureReport, Optional[tuple[int, int]]]:
@@ -649,13 +689,13 @@ def extremes(inst: DualModularInstance) -> Extremes:
     g_max = max(g.value(1 << u) for u in range(n))
 
     if n <= 7:
-        ftab, gtab = inst.tables()
+        (ftab, df), (gtab, dg) = inst.tables()
         steps = [(a, a | 1 << u) for a in range(1 << n) for u in range(n) if not a >> u & 1]
         seen_f = [ftab[b] - ftab[a] for a, b in steps]
         seen_g = [gtab[b] - gtab[a] for a, b in steps]
-        if not (min(seen_f) == f_min and max(seen_f) == f_max):
+        if not (min(seen_f) == f_min * df and max(seen_f) == f_max * df):
             raise StructuralError("closed-form f extremes disagree with permutation scan")
-        if not (min(seen_g) == g_min and max(seen_g) == g_max):
+        if not (min(seen_g) == g_min * dg and max(seen_g) == g_max * dg):
             raise StructuralError("closed-form g extremes disagree with permutation scan")
 
     return Extremes(f_min=f_min, f_max=f_max, g_min=g_min, g_max=g_max)
@@ -709,6 +749,8 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
         for i, e in enumerate(raw):
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise SchemaError(f"{field_name}.edges[{i}]", "expected [u, v, weight]")
+            if isinstance(e[0], bool) or isinstance(e[1], bool):
+                raise SchemaError(f"{field_name}.edges[{i}]", "endpoint must be an index or a label, got a boolean")
             u = e[0] if isinstance(e[0], int) else ground.index_of(e[0])
             v = e[1] if isinstance(e[1], int) else ground.index_of(e[1])
             if not (0 <= u < n and 0 <= v < n):

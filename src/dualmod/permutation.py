@@ -9,6 +9,7 @@ allocations are built as sparse weighted mixtures of permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -163,35 +164,38 @@ def check_base_membership(
         raise GroundSetTooLarge(n, limit, "check_base_membership")
     if allocation.n != n:
         raise SchemaError("allocation", f"length {allocation.n} does not match n={n}")
-    ftab, gtab = inst.tables()
-    xs = subset_sums(allocation.x, n)
-    ys = subset_sums(allocation.y, n)
-    full = inst.ground.full_mask
-
-    x_ok = abs(xs[full] - ftab[full]) <= slack
-    x_wit = full if not x_ok else None
-    if x_ok:
-        for s in range(1, full):
-            if xs[s] < ftab[s] - slack:
-                x_ok = False
-                x_wit = s
-                break
-
-    y_ok = abs(ys[full] - gtab[full]) <= slack
-    y_wit = full if not y_ok else None
-    if y_ok:
-        for s in range(1, full):
-            if ys[s] > gtab[s] + slack:
-                y_ok = False
-                y_wit = s
-                break
-
+    (ftab, df), (gtab, dg) = inst.tables()
+    x_wit = _first_base_violation(ftab, df, allocation.x, slack, 1)
+    y_wit = _first_base_violation(gtab, dg, allocation.y, slack, -1)
     return MembershipReport(
-        x_in_reward_base=x_ok,
-        y_in_cost_base=y_ok,
+        x_in_reward_base=x_wit is None,
+        y_in_cost_base=y_wit is None,
         x_witness=x_wit,
         y_witness=y_wit,
     )
+
+
+def _first_base_violation(tab: list[int], den: int, vec: Sequence, slack, sign: int) -> Optional[int]:
+    """First mask on which ``vec`` leaves the base of tab / den, or None.
+
+    The full set must match within ``slack``; then subsets in ascending
+    order must satisfy sign * (vec(S) - h(S)) >= -slack.  Floats are read
+    at their exact rational values, and vec, slack and 1/den are put over
+    one denominator, so every comparison is between integer sums.
+    """
+    exact = [Fraction(v) for v in vec]
+    slack = Fraction(slack)
+    scale = math.lcm(den, slack.denominator, *(v.denominator for v in exact))
+    sums = subset_sums([v.numerator * (scale // v.denominator) for v in exact], len(exact))
+    per = scale // den
+    loose = slack.numerator * (scale // slack.denominator)
+    full = len(sums) - 1
+    if abs(sums[full] - per * tab[full]) > loose:
+        return full
+    for s in range(1, full):
+        if sign * (sums[s] - per * tab[s]) < -loose:
+            return s
+    return None
 
 
 def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = None) -> tuple:

@@ -33,6 +33,16 @@ def hardness():
     return dm.load_instance(fixture_path("hardness"))
 
 
+def value_tables(inst):
+    """f and g on every mask as Fractions, one ``spec.value`` call each.
+
+    The oracles read these rather than ``inst.tables()``, so they stay
+    independent of the integer value layer under test.
+    """
+    masks = range(1 << inst.n)
+    return [inst.f.value(s) for s in masks], [inst.g.value(s) for s in masks]
+
+
 # ---------------------------------------------------------------------------
 # random instance generation
 #

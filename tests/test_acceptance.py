@@ -24,6 +24,7 @@ from conftest import (
     random_consistent_allocation,
     random_instance,
     random_n,
+    value_tables,
 )
 
 
@@ -36,7 +37,7 @@ def _report(number: int, started: float, summary: str, budget: float | None = No
 
 def _tabulated(inst):
     """Same values behind O(1) lookups; keeps brute-force loops fast."""
-    ftab, gtab = inst.tables()
+    ftab, gtab = value_tables(inst)
     return dm.DualModularInstance(
         ground=inst.ground,
         f=dm.ExplicitTable(tuple(ftab)),
@@ -166,7 +167,7 @@ def test_criterion_5_hockey_stick_duality():
     for _ in range(200):
         n = random_n(rng)
         inst = _tabulated(random_instance(rng, n))
-        ftab, gtab = inst.tables()
+        ftab, gtab = value_tables(inst)
         for _ in range(2):
             a = random_allocation(rng, inst)
             for gamma in gammas:
@@ -218,7 +219,7 @@ def test_criterion_6_contracts_oracle_equivalence():
             gamma = 1 / alpha
             strictly_between = all(r != gamma for r in dec.densities)
             if strictly_between:
-                ftab, gtab = inst.tables()
+                ftab, gtab = value_tables(inst)
                 best = None
                 winners = []
                 for s in range(1 << n):

@@ -45,7 +45,6 @@ class TestVerify:
         assert json.loads(out)["dual_modular"] is True
 
 
-@pytest.mark.filterwarnings("ignore:f_min = 0")
 class TestSolve:
     def test_p3_quadratic(self, capsys, tmp_path):
         trace = os.path.join(tmp_path, "t.csv")
@@ -66,6 +65,14 @@ class TestSolve:
             assert abs(v - 2 / 3) <= 1e-2
         assert blob["error_bounds"]["kind"] == "quadratic"
         assert os.path.exists(trace)
+
+    def test_zero_f_min_is_one_note_line(self, capsys):
+        code, _, err = run(capsys, "solve", fixture_path("p3"), "--T", "20")
+        assert code == 0
+        assert err == (
+            "note: f_min = 0: some element has zero worst-case reward share, "
+            "so the multiplicative density bound is unavailable\n"
+        )
 
     def test_zero_cost_exits_domain(self, capsys):
         # the identity start on the unperturbed three-element table hits a
@@ -221,6 +228,23 @@ class TestErrorPaths:
         assert code == 1
         assert f"{field}.edges" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edge", [[True, 1, 1], [0, False, 1]])
+    def test_boolean_endpoint(self, capsys, tmp_path, edge):
+        # a boolean is an int to Python; read as an index it would pass as 1 or 0
+        bad = os.path.join(tmp_path, "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(
+                {
+                    "labels": ["a", "b"],
+                    "f": {"kind": "edges_inside", "edges": [edge]},
+                    "g": {"kind": "linear", "weights": [1, 1]},
+                },
+                fh,
+            )
+        code, _, err = run(capsys, "decompose", bad)
+        assert code == 1
+        assert "f.edges[0]" in err
 
     @pytest.mark.parametrize(
         "labels,values",

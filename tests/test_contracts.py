@@ -10,12 +10,13 @@ from conftest import (
     consistent_permutation,
     random_allocation,
     random_instance,
+    value_tables,
 )
 
 
 def brute_argmaxes(inst, alpha):
     """All maximisers of alpha * f(S) - g(S), by enumeration."""
-    ftab, gtab = inst.tables()
+    ftab, gtab = value_tables(inst)
     best = None
     winners = []
     for s in range(1 << inst.n):
@@ -96,7 +97,7 @@ class TestBruteForceOracle:
             inst = random_instance(rng, int(rng.integers(2, 6)))
             dec = dm.density_decomposition(inst)
             prefixes = dec.prefix_masks()
-            ftab, gtab = inst.tables()
+            ftab, gtab = value_tables(inst)
             for i, hi in enumerate(dec.densities):
                 lo = dec.densities[i + 1] if i + 1 < dec.k else F(0)
                 if hi == lo:
@@ -243,7 +244,7 @@ class TestTwoTierFamily:
             inst = dm.two_tier_instance(n_top, n_bottom)
             top = (1 << n_top) - 1
             for gamma in (F(5, 4), F(3, 2), F(7, 4)):
-                ftab, gtab = inst.tables()
+                ftab, gtab = value_tables(inst)
                 for s in range(1, 1 << inst.n):
                     value = ftab[s] - gamma * gtab[s]
                     if s == top:

@@ -6,12 +6,12 @@ import pytest
 import dualmod as dm
 from dualmod.errors import DomainError, InfiniteDensity
 
-from conftest import random_instance
+from conftest import random_instance, value_tables
 
 
 def densest_by_enumeration(inst):
     """Independent oracle: scan all nonempty subsets, keep the best ratio."""
-    ftab, gtab = inst.tables()
+    ftab, gtab = value_tables(inst)
     best = None
     winners = []
     for s in range(1, 1 << inst.n):

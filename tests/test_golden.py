@@ -45,7 +45,6 @@ def golden_file(name: str, cmd: str) -> str:
     return os.path.join(GOLDEN, f"{name}.{cmd}.out")
 
 
-@pytest.mark.filterwarnings("ignore:f_min = 0")
 @pytest.mark.parametrize("name,cmd", CASES, ids=[f"{n}-{c}" for n, c in CASES])
 def test_cli_output_matches_golden(name, cmd):
     code, out, err = capture(name, cmd)
@@ -56,9 +55,6 @@ def test_cli_output_matches_golden(name, cmd):
 
 
 if __name__ == "__main__":
-    import warnings
-
-    warnings.simplefilter("ignore")
     os.makedirs(GOLDEN, exist_ok=True)
     status = {}
     for name, cmd in CASES:

@@ -13,7 +13,7 @@ from dualmod.errors import (
     ZeroTotal,
 )
 
-from conftest import random_instance
+from conftest import random_instance, value_tables
 
 
 def masks(ground, *labels):
@@ -22,7 +22,7 @@ def masks(ground, *labels):
 
 def extremes_by_permutations(inst):
     """Independent oracle: the extremal marginals met along all n! orders."""
-    ftab, gtab = inst.tables()
+    ftab, gtab = value_tables(inst)
     seen_f, seen_g = [], []
     for order in itertools.permutations(range(inst.n)):
         prefix = 0
@@ -118,6 +118,30 @@ class TestSpecValidation:
         with pytest.raises(SchemaError):
             dm.ConcaveOfCardinality((F(0), F(1), F(3)))  # increment grows
         dm.ConcaveOfCardinality((F(0), F(2), F(3)))  # fine
+
+    @pytest.mark.parametrize(
+        "f,field",
+        [
+            (dm.EdgesInside(((0, 1, F(1)), (2, 7, F(1)))), "edges"),
+            (dm.EdgesInside(((-1, 0, F(1)),)), "edges"),
+            (dm.Linear((F(1),) * 4), "weights"),
+            (dm.ExplicitTable((F(0),) + (F(1),) * 15), "values"),
+            (dm.ConcaveOfCardinality((F(0), F(2), F(3))), "phi"),
+            (dm.ComplementOf(dm.Linear((F(1),) * 4), 4), "base"),
+            (dm.ComplementOf(dm.Linear((F(1),) * 4), 3), "weights"),
+            (dm.Scaled(dm.Linear((F(1),) * 4), F(2)), "weights"),
+            (dm.Perturbed(dm.EdgesInside(((2, 7, F(1)),)), F(1)), "edges"),
+        ],
+    )
+    def test_spec_must_fit_ground_set(self, f, field):
+        # refused at construction, whatever check_totals says; unchecked, an
+        # edge (2, 7) on three elements was silently ignored by `value`
+        ground = dm.GroundSet(("x", "y", "z"))
+        for check_totals in (True, False):
+            with pytest.raises(SchemaError, match=f"^{field}:"):
+                dm.DualModularInstance(
+                    ground=ground, f=f, g=dm.Linear((F(1),) * 3), check_totals=check_totals
+                )
 
 
 class TestVerify:
@@ -335,7 +359,7 @@ class TestMarginalMonotonicity:
         for _ in range(5):
             n = int(rng.integers(2, 6))
             inst = random_instance(rng, n)
-            ftab, gtab = inst.tables()
+            ftab, gtab = value_tables(inst)
             for b in range(1 << n):
                 a = b
                 while True:  # walk all submasks of b

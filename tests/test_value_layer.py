@@ -1,0 +1,154 @@
+"""The integer value layer against the rationals it encodes.
+
+``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``;
+every consumer reads those integers.  The tests here compare the tables with
+``value`` on every mask for each spec kind, and base-polytope membership
+with the Fraction subset-sum check it replaced.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import dualmod as dm
+
+from conftest import random_allocation, random_instance, value_tables
+
+rationals = st.builds(F, st.integers(0, 40), st.integers(1, 12))
+
+
+@st.composite
+def base_specs(draw, n):
+    kind = draw(st.sampled_from(["explicit", "edges", "linear", "concave"]))
+    if kind == "explicit":
+        rest = draw(st.lists(rationals, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+        return dm.ExplicitTable((F(0), *rest))
+    if kind == "edges":
+        ends = st.integers(0, n - 1)
+        return dm.EdgesInside(tuple(draw(st.lists(st.tuples(ends, ends, rationals), max_size=12))))
+    if kind == "linear":
+        return dm.Linear(tuple(draw(st.lists(rationals, min_size=n, max_size=n))))
+    increments = sorted(draw(st.lists(rationals, min_size=n, max_size=n)), reverse=True)
+    phi = [F(0)]
+    for d in increments:
+        phi.append(phi[-1] + d)
+    return dm.ConcaveOfCardinality(tuple(phi))
+
+
+@st.composite
+def specs(draw):
+    """(spec, n) for n <= 6: a base kind under up to three wrappers, and
+    sometimes the marginal of a residual of a larger instance."""
+    n = draw(st.integers(1, 6))
+    extra = draw(st.integers(0, 6 - n)) if draw(st.booleans()) else 0
+    size = n + extra
+    spec = draw(base_specs(size))
+    for wrapper in draw(st.lists(st.sampled_from(["scaled", "perturbed", "complement"]), max_size=3)):
+        if wrapper == "scaled":
+            spec = dm.Scaled(spec, draw(rationals))
+        elif wrapper == "perturbed":
+            spec = dm.Perturbed(spec, draw(rationals))
+        else:
+            spec = dm.ComplementOf(spec, size)
+    if extra:
+        ground = dm.GroundSet(tuple(f"v{i}" for i in range(size)))
+        inst = dm.DualModularInstance(ground=ground, f=spec, g=spec, check_totals=False)
+        dropped = draw(st.lists(st.integers(0, size - 1), min_size=extra, max_size=extra, unique=True))
+        anchor = sum(1 << u for u in dropped)
+        spec = dm.residual_instance(inst, anchor).f
+        assert isinstance(spec, dm.Marginal)
+    return spec, n
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs())
+def test_table_is_value_over_one_denominator(case):
+    spec, n = case
+    values, den = spec.table(n)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in values)
+    assert values == [spec.value(m) * den for m in range(1 << n)]
+
+
+def membership_oracle(inst, allocation, slack=0):
+    """The Fraction check: subset sums against value tables, no common denominator."""
+    ftab, gtab = value_tables(inst)
+    full = inst.ground.full_mask
+
+    def first_violation(vec, tab, sign):
+        sums = [0] * (full + 1)
+        for s in range(1, full + 1):
+            low = (s & -s).bit_length() - 1
+            sums[s] = sums[s ^ (1 << low)] + vec[low]
+        if abs(sums[full] - tab[full]) > slack:
+            return full
+        for s in range(1, full):
+            if sign * (sums[s] - tab[s]) < -slack:
+                return s
+        return None
+
+    x_wit = first_violation(allocation.x, ftab, 1)
+    y_wit = first_violation(allocation.y, gtab, -1)
+    return dm.MembershipReport(x_wit is None, y_wit is None, x_wit, y_wit)
+
+
+def shifted(rng, vec):
+    """Move a random share of one coordinate onto another; the total stays."""
+    u, v = rng.choice(len(vec), size=2, replace=False)
+    moved = vec[u] * F(int(rng.integers(1, 4)), 4)
+    out = list(vec)
+    out[u] -= moved
+    out[v] += moved
+    return tuple(out)
+
+
+class TestMembership:
+    def test_witnesses_pinned(self):
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")),
+            f=dm.Linear((F(2), F(1))),
+            g=dm.Linear((F(1, 2), F(3, 2))),
+        )
+        cases = [
+            (dm.Allocation(x=(F(2), F(1)), y=(F(1, 2), F(3, 2))), (True, True, None, None)),
+            # x({a}) = 1 < f({a}) = 2; y({a}) = 1 > g({a}) = 1/2
+            (dm.Allocation(x=(F(1), F(2)), y=(F(1), F(1))), (False, False, 0b01, 0b01)),
+            # totals off by 1/3: the full set is the witness on both sides
+            (dm.Allocation(x=(F(2), F(4, 3)), y=(F(1, 2), F(7, 6))), (False, False, 0b11, 0b11)),
+        ]
+        for allocation, expected in cases:
+            report = dm.check_base_membership(inst, allocation)
+            assert report == dm.MembershipReport(*expected)
+            assert report == membership_oracle(inst, allocation)
+
+    def test_exact_allocations_match_fraction_check(self):
+        rng = np.random.default_rng(71)
+        outside = 0
+        for _ in range(150):
+            inst = random_instance(rng, int(rng.integers(2, 7)))
+            a = random_allocation(rng, inst)
+            candidates = [
+                a,
+                dm.Allocation(x=shifted(rng, a.x), y=a.y),
+                dm.Allocation(x=a.x, y=shifted(rng, a.y)),
+                dm.Allocation(x=tuple(v * F(9, 10) for v in a.x), y=tuple(v * F(11, 10) for v in a.y)),
+            ]
+            for allocation in candidates:
+                report = dm.check_base_membership(inst, allocation)
+                assert report == membership_oracle(inst, allocation)
+                outside += not report.both
+            assert dm.check_base_membership(inst, a).both
+        assert outside >= 150
+
+    def test_binary64_iterates_match_fraction_check(self):
+        rng = np.random.default_rng(72)
+        for _ in range(12):
+            inst = dm.normalize(random_instance(rng, int(rng.integers(2, 7))))
+            trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=50))
+            a = trace.final_allocation()
+            assert all(type(v) is float for v in a.x + a.y)
+            for allocation in (a, dm.Allocation(x=a.x[::-1], y=a.y[::-1])):
+                report = dm.check_base_membership(inst, allocation, slack=1e-9)
+                assert report == membership_oracle(inst, allocation, slack=1e-9)
+            assert dm.check_base_membership(inst, a, slack=1e-9).both
