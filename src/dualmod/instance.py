@@ -11,7 +11,9 @@ on every second difference and every one-element step*, never assumed.
 Values are exact rationals (`fractions.Fraction`), and every table of all
 2^n values is a list of Python ints over one positive denominator, read as
 is by verification, decomposition, membership, contracts and `extremes`.
-Nothing here ever rounds.
+The n + 1 prefixes of one order come the same way, from a walk of O(m + n)
+integer operations for the structured kinds; the solver and the
+permutation vertices read those.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 import os
 from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -120,15 +124,27 @@ def _over_common_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _prefix_masks(order: Sequence[int]) -> list[int]:
+    """The n + 1 prefix masks of ``order``, the empty one first."""
+    masks = [0]
+    for u in order:
+        masks.append(masks[-1] | 1 << u)
+    return masks
+
+
 class SetFunctionSpec:
     """Base of every set-function representation.
 
     Subclasses implement ``value(mask)`` returning the exact rational value
     of the encoded subset.  ``table(n)`` materialises all 2^n values as
     integers over one denominator: ``(values, den)`` with
-    ``values[mask] == value(mask) * den``.  The generic implementation
-    clears the denominators of ``value`` on every mask; structured kinds
-    clear those of their inputs once and run an integer recurrence.
+    ``values[mask] == value(mask) * den``.  ``prefixes(order)`` does the
+    same for the n + 1 prefixes of an order of all n elements: ``values[i]``
+    is ``value`` of the first i elements of ``order``, times ``den``.  The
+    generic implementations clear the denominators of ``value`` on every
+    mask they return, which also serves ``ExplicitTable`` walks; structured
+    kinds clear those of their inputs once per spec and run an integer
+    recurrence, O(m + n) integer operations per walk for m edges.
     ``check(n)`` raises :class:`SchemaError` unless the spec fits a ground
     set of n elements; instances call it at construction.
     """
@@ -138,6 +154,9 @@ class SetFunctionSpec:
 
     def table(self, n: int) -> tuple[list[int], int]:
         return _over_common_den([self.value(s) for s in range(1 << n)])
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        return _over_common_den([self.value(s) for s in _prefix_masks(order)])
 
     def check(self, n: int) -> None:
         pass
@@ -201,10 +220,15 @@ class EdgesInside(SetFunctionSpec):
                 total += w
         return total
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    @cached_property
+    def _cleared(self) -> tuple[list[tuple[int, int, int]], int]:
         weights, den = _over_common_den([w for _, _, w in self.edges])
+        return [(u, v, w) for (u, v, _), w in zip(self.edges, weights)], den
+
+    def table(self, n: int) -> tuple[list[int], int]:
+        edges, den = self._cleared
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v, _), w in zip(self.edges, weights):
+        for u, v, w in edges:
             lo, hi = min(u, v), max(u, v)
             adj[lo].append((hi, w))
         tab = [0] * (1 << n)
@@ -217,6 +241,18 @@ class EdgesInside(SetFunctionSpec):
                     total += w
             tab[mask] = total
         return tab, den
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        # an edge (a loop too) joins the prefixes at its later endpoint
+        edges, den = self._cleared
+        arrival = [0] * len(order)
+        for i, u in enumerate(order, 1):
+            arrival[u] = i
+        step = [0] * (len(order) + 1)
+        for u, v, w in edges:
+            a, b = arrival[u], arrival[v]
+            step[a if a > b else b] += w
+        return list(accumulate(step)), den
 
     def check(self, n: int) -> None:
         for u, v, _ in self.edges:
@@ -248,13 +284,21 @@ class Linear(SetFunctionSpec):
             m &= m - 1
         return total
 
+    @cached_property
+    def _cleared(self) -> tuple[list[int], int]:
+        return _over_common_den(self.weights)
+
     def table(self, n: int) -> tuple[list[int], int]:
-        weights, den = _over_common_den(self.weights)
+        weights, den = self._cleared
         tab = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
             tab[mask] = tab[mask ^ (1 << low)] + weights[low]
         return tab, den
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        weights, den = self._cleared
+        return list(accumulate((weights[u] for u in order), initial=0)), den
 
     def check(self, n: int) -> None:
         if len(self.weights) != n:
@@ -284,9 +328,17 @@ class ConcaveOfCardinality(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.phi[mask.bit_count()]
 
+    @cached_property
+    def _cleared(self) -> tuple[list[int], int]:
+        return _over_common_den(self.phi)
+
     def table(self, n: int) -> tuple[list[int], int]:
-        phi, den = _over_common_den(self.phi)
+        phi, den = self._cleared
         return [phi[m.bit_count()] for m in range(1 << n)], den
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        phi, den = self._cleared
+        return phi[: len(order) + 1], den
 
     def check(self, n: int) -> None:
         if len(self.phi) != n + 1:
@@ -308,9 +360,15 @@ class Scaled(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.factor * self.base.value(mask)
 
+    def _scale(self, base: tuple[list[int], int]) -> tuple[list[int], int]:
+        values, den = base
+        return [self.factor.numerator * v for v in values], den * self.factor.denominator
+
     def table(self, n: int) -> tuple[list[int], int]:
-        tab, den = self.base.table(n)
-        return [self.factor.numerator * v for v in tab], den * self.factor.denominator
+        return self._scale(self.base.table(n))
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        return self._scale(self.base.prefixes(order))
 
     def check(self, n: int) -> None:
         self.base.check(n)
@@ -333,12 +391,18 @@ class Perturbed(SetFunctionSpec):
     def value(self, mask: int) -> Fraction:
         return self.base.value(mask) + self.eta * mask.bit_count()
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _lift(self, base: tuple[list[int], int], sizes) -> tuple[list[int], int]:
         # base/den + (p/q) |S| = (q base + p den |S|) / (q den)
-        tab, den = self.base.table(n)
+        values, den = base
         p, q = self.eta.numerator, self.eta.denominator
         step = p * den
-        return [q * v + step * m.bit_count() for m, v in enumerate(tab)], q * den
+        return [q * v + step * k for v, k in zip(values, sizes)], q * den
+
+    def table(self, n: int) -> tuple[list[int], int]:
+        return self._lift(self.base.table(n), map(int.bit_count, range(1 << n)))
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        return self._lift(self.base.prefixes(order), range(len(order) + 1))
 
     def check(self, n: int) -> None:
         self.base.check(n)
@@ -362,6 +426,11 @@ class ComplementOf(SetFunctionSpec):
         b, den = self.base.table(n)
         full = (1 << n) - 1
         return [b[full] - b[full ^ m] for m in range(1 << n)], den
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        # V minus the first i elements of order is the first n - i of its reverse
+        b, den = self.base.prefixes(order[::-1])
+        return [b[-1] - v for v in reversed(b)], den
 
     def check(self, n: int) -> None:
         if n != self.n:

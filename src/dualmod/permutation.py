@@ -93,17 +93,21 @@ class WeightedPermutationList:
         return WeightedPermutationList(tuple((s, w) for s in sigmas))
 
 
-def vertex(spec: SetFunctionSpec, sigma: Permutation) -> tuple[Fraction, ...]:
-    """Marginal vector h^sigma, indexed by element; coordinates sum to h(V)."""
-    out = [0] * sigma.n  # every coordinate is overwritten: sigma orders all n
-    prefix = 0
-    prev = spec.value(0)
-    for u in sigma.order:
-        prefix |= 1 << u
-        cur = spec.value(prefix)
+def marginals(order: Sequence[int], values: Sequence) -> list:
+    """out[order[i]] = values[i + 1] - values[i]: a vertex read off the prefix values."""
+    out = [0] * len(order)  # every coordinate is overwritten: order lists all n
+    for u, prev, cur in zip(order, values, values[1:]):
         out[u] = cur - prev
-        prev = cur
-    return tuple(out)
+    return out
+
+
+def vertex(spec: SetFunctionSpec, sigma: Permutation) -> tuple[Fraction, ...]:
+    """Marginal vector h^sigma, indexed by element; coordinates sum to h(V).
+
+    Read off one exact walk over the n + 1 prefixes of sigma.
+    """
+    values, den = spec.prefixes(sigma.order)
+    return tuple(Fraction(d, den) for d in marginals(sigma.order, values))
 
 
 def allocation_from_mixture(
@@ -215,5 +219,6 @@ def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = 
 
 def sort_by_density(rho: Sequence) -> Permutation:
     """Non-increasing density order; equal densities by ascending element index."""
-    order = sorted(range(len(rho)), key=lambda u: (-rho[u], u))
+    # a reversed sort is still stable: equal densities keep ascending index order
+    order = sorted(range(len(rho)), key=rho.__getitem__, reverse=True)
     return Permutation(tuple(order))

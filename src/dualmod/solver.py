@@ -13,10 +13,12 @@ the next choice.
   permutation back to front by repeatedly extracting the element with the
   smallest blended score.
 
-A run evaluates f and g only at the masks it visits (the prefixes of each
-chosen permutation, and for Greedy++ the one-element removals from each
-remaining set), each mask once; no table of all 2^n values is built, so
-the ground set has no size limit here.
+A run evaluates f and g only at the masks it visits, each mask once, and
+builds no table of all 2^n values, so the ground set has no size limit
+here.  The prefixes of a chosen permutation are filled together: the first
+order with an unstored prefix is walked once, in exact integers, and all
+its n + 1 values are stored.  Greedy++'s one-element removals from each
+remaining set are evaluated one mask at a time.
 
 A run is sequential; traces are immutable once returned.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -45,9 +48,10 @@ from .instance import (
     Perturbed,
     Scaled,
     SetFunctionSpec,
+    _prefix_masks,
     extremes,
 )
-from .permutation import Allocation, Permutation, sort_by_density, vertex
+from .permutation import Allocation, Permutation, marginals, sort_by_density, vertex
 from .rational import format_rational
 
 
@@ -184,19 +188,46 @@ def partial_derivative(
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
-    In binary64 mode a value is converted to float once, when it is stored.
-    A Frank-Wolfe step visits n + 1 prefixes and a Greedy++ step at most n^2
-    masks, so T steps hold at most min(2^n, T n^2) values.
+    ``vertex(sigma)`` reads the n + 1 prefixes of sigma; the first time one
+    of them is not stored, one ``spec.prefixes`` walk stores all n + 1.
+    Greedy++'s removal queries go through ``value``, which evaluates an
+    unstored mask on its own.  In binary64 mode a value is stored as a
+    float, the correctly rounded exact value; in rational mode as a
+    ``Fraction``.  A Frank-Wolfe step visits n + 1 prefixes and a Greedy++
+    step at most n^2 masks, so T steps hold at most min(2^n, T n^2) values.
     """
 
     def __init__(self, spec: SetFunctionSpec, as_float: bool):
         super().__init__()
         self._spec = spec
-        self._as_float = as_float
+        # int / int rounds correctly, as float(Fraction) does
+        self._exact = operator.truediv if as_float else Fraction
+
+    def vertex(self, sigma: Permutation) -> list:
+        get = self.get  # no __missing__: an unstored prefix reads None
+        out = [0] * sigma.n
+        prefix = 0
+        prev = get(0)
+        if prev is None:
+            return self._walk(sigma.order)
+        for u in sigma.order:
+            prefix |= 1 << u
+            cur = get(prefix)
+            if cur is None:
+                return self._walk(sigma.order)
+            out[u] = cur - prev
+            prev = cur
+        return out
+
+    def _walk(self, order) -> list:
+        ints, den = self._spec.prefixes(order)
+        values = [self._exact(v, den) for v in ints]
+        self.update(zip(_prefix_masks(order), values))
+        return marginals(order, values)
 
     def __missing__(self, mask: int):
         v = self._spec.value(mask)
-        self[mask] = v = float(v) if self._as_float else v
+        self[mask] = v = self._exact(v.numerator, v.denominator)
         return v
 
     # a plain dict lookup: a mask already stored costs no Python-level call
@@ -225,10 +256,11 @@ def _phi_values(x, y):
         quad = q if quad is None else quad + q
         ft = float(t)
         if ft > 0:
+            log_t = math.log(ft)
             if kl is not None:
-                kl += float(yu) * ft * math.log(ft)
+                kl += float(yu) * ft * log_t
             if eg is not None:
-                eg -= float(yu) * math.log(ft)
+                eg -= float(yu) * log_t
         elif ft == 0:
             eg = None  # -log 0
         else:
@@ -245,7 +277,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = vertex(f, sigma0), vertex(g, sigma0)
+    x, y = f.vertex(sigma0), g.vertex(sigma0)
 
     rows = []
     for k in range(cfg.iterations):
@@ -264,7 +296,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
                 allocation=(tuple(x), tuple(y)) if snapshot else None,
             )
         )
-        c, d = vertex(f, sigma), vertex(g, sigma)
+        c, d = f.vertex(sigma), g.vertex(sigma)
         if cfg.variant == "greedypp":
             gamma = 1.0 / (k + 1) if as_float else Fraction(1, k + 1)
         else:

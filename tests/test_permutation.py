@@ -143,6 +143,18 @@ class TestSortByDensity:
     def test_tie_then_strict(self):
         assert dm.sort_by_density((F(1), F(1), F(1, 2))).order == (0, 1, 2)
 
+    def test_matches_sort_on_negated_density_then_index(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            # few distinct values, so most vectors carry ties; signed zeros too
+            pool = [F(int(rng.integers(0, 4)), int(rng.integers(1, 3))) for _ in range(3)]
+            rho = [pool[int(i)] for i in rng.integers(0, 3, size=n)]
+            floats = [float(v) if v else (-0.0 if rng.random() < 0.5 else 0.0) for v in rho]
+            for vec in (rho, tuple(rho), floats):
+                expected = sorted(range(n), key=lambda u: (-vec[u], u))
+                assert dm.sort_by_density(vec).order == tuple(expected)
+
 
 class TestPositionMonotonicity:
     def test_adjacent_transposition(self):

@@ -1,13 +1,13 @@
 """The solver's value path against iterations that read f and g another way.
 
 The solver evaluates f and g at the masks a run visits, each once, through
-a per-run memo.  The references here repeat the same iteration reading the
-values from full 2^n tables (n <= 8), or from a fresh ``spec.value`` call
-on every visit through ``dm.vertex`` (n = 21, where a table would hold two
-million values each), and must give identical rows and final x, y.
+a per-run memo that stores all prefixes of an order from one integer walk.
+The references here repeat the same iteration reading the values from full
+2^n tables (n <= 8), or from a fresh ``spec.value`` call on every visit
+(n = 21, where a table would hold two million values each), and must give
+identical rows and final x, y.
 """
 
-from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -112,10 +112,10 @@ def test_memo_matches_direct_walk_above_old_table_size(arithmetic, T):
     as_float = arithmetic == "binary64"
     for inst, variant in cases(rng, 21):
         cfg = dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic, stride=1)
-        assert_same_run(inst, cfg, Direct(inst.f, as_float), Direct(inst.g, as_float), dm.vertex)
+        assert_same_run(inst, cfg, Direct(inst.f, as_float), Direct(inst.g, as_float), table_walk)
 
 
-def prefixes(sigma):
+def prefix_set(sigma):
     out = {0}
     prefix = 0
     for u in sigma.order:
@@ -126,28 +126,53 @@ def prefixes(sigma):
 
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
 def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
-    calls = Counter()
+    """Frank-Wolfe calls no ``value``: each order with an unstored prefix is
+    walked once, and no other.  Greedy++'s removal queries call ``value`` at
+    most once per mask, and never for a mask a walk stored."""
+    events = []
 
-    def counting(cls):
-        original = cls.value
+    def recording(cls, name):
+        original = getattr(cls, name)
 
-        def value(self, mask):
-            calls[cls.__name__, mask] += 1
-            return original(self, mask)
+        def method(self, arg):
+            events.append((self, name, arg))
+            return original(self, arg)
 
-        monkeypatch.setattr(cls, "value", value)
+        monkeypatch.setattr(cls, name, method)
 
-    for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear):
-        counting(cls)
+    for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality):
+        recording(cls, "value")
+        recording(cls, "prefixes")
     rng = np.random.default_rng(53)
     for inst, variant in cases(rng, 10):
-        calls.clear()
+        events.clear()
         cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
         trace = dm.solve(inst, cfg)
-        assert calls and max(calls.values()) == 1
+        orders = [dm.Permutation.identity(10)] + [r.sigma for r in trace.rows]
+        visited = set().union(*map(prefix_set, orders))
+        for spec in (inst.f, inst.g):
+            stored = set()
+            walked = []
+            for who, name, arg in events:
+                if who is not spec:
+                    continue
+                if name == "prefixes":
+                    # a walk only for an order with an unstored prefix
+                    masks = prefix_set(dm.Permutation(arg))
+                    assert not masks <= stored
+                    walked.append(arg)
+                    stored |= masks
+                else:
+                    # a Greedy++ removal query, never for a stored mask
+                    assert arg not in stored
+                    stored.add(arg)
+            assert walked and len(walked) == len(set(walked))
+            if variant == "fw":
+                assert stored == visited
+            else:
+                assert visited <= stored
         if variant == "fw":
-            # exactly the prefixes of the start order and of every chosen order
-            orders = [dm.Permutation.identity(10)] + [r.sigma for r in trace.rows]
-            visited = set().union(*map(prefixes, orders))
-            assert {mask for (name, mask) in calls if name == "EdgesInside"} == visited
-            assert {mask for (name, mask) in calls if name == "Perturbed"} == visited
+            # Frank-Wolfe reads every value off a walk, nested specs included
+            assert not [e for e in events if e[1] == "value"]
+        else:
+            assert any(who is inst.f and name == "value" for who, name, _ in events)

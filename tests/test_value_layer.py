@@ -1,8 +1,10 @@
 """The integer value layer against the rationals it encodes.
 
-``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``;
-every consumer reads those integers.  The tests here compare the tables with
-``value`` on every mask for each spec kind, and base-polytope membership
+``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``,
+and ``prefixes(order)`` the same for the n + 1 prefixes of one order; every
+consumer reads those integers.  The tests here compare the tables and the
+prefix walks with ``value`` for each spec kind, permutation vertices with a
+walk that calls ``value`` once per prefix, and base-polytope membership
 with the Fraction subset-sum check it replaced.
 """
 
@@ -69,6 +71,38 @@ def test_table_is_value_over_one_denominator(case):
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in values)
     assert values == [spec.value(m) * den for m in range(1 << n)]
+
+
+def prefix_masks(order):
+    masks = [0]
+    for u in order:
+        masks.append(masks[-1] | 1 << u)
+    return masks
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_prefixes_are_values_over_one_denominator(case, data):
+    spec, n = case
+    order = tuple(data.draw(st.permutations(range(n))))
+    values, den = spec.prefixes(order)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in values)
+    assert values == [spec.value(m) * den for m in prefix_masks(order)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(specs(), st.data())
+def test_vertex_matches_one_value_call_per_prefix(case, data):
+    spec, n = case
+    sigma = dm.Permutation(tuple(data.draw(st.permutations(range(n)))))
+    values = [spec.value(m) for m in prefix_masks(sigma.order)]
+    expected = [None] * n
+    for i, u in enumerate(sigma.order):
+        expected[u] = values[i + 1] - values[i]
+    vertex = dm.vertex(spec, sigma)
+    assert vertex == tuple(expected)
+    assert all(type(v) is F for v in vertex)
 
 
 def membership_oracle(inst, allocation, slack=0):
