@@ -18,20 +18,7 @@ from fractions import Fraction
 from .contracts import analyze_contracts, best_response, agent_utility, principal_utility
 from .decomposition import density_decomposition
 from .divergence import HockeyStick, divergence, hockey_stick_sup_form, kind_from_string
-from .errors import (
-    AlphaOutOfRange,
-    DomainError,
-    DualModError,
-    EmptyResidual,
-    GroundSetTooLarge,
-    InfiniteDensity,
-    NegativeEta,
-    NotLinearCost,
-    SchemaError,
-    StructuralError,
-    WeightSumMismatch,
-    ZeroCostCoordinate,
-)
+from .errors import DualModError, GroundSetTooLarge, SchemaError, StructuralError
 from .instance import (
     complement_instance,
     instance_to_json,
@@ -47,17 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STRUCTURAL = 2
 EXIT_DOMAIN = 3
-
-_DOMAIN_ERRORS = (
-    ZeroCostCoordinate,
-    DomainError,
-    InfiniteDensity,
-    NegativeEta,
-    EmptyResidual,
-    NotLinearCost,
-    AlphaOutOfRange,
-    WeightSumMismatch,
-)
 
 
 def _emit(obj) -> None:
@@ -95,7 +71,6 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         iterations=args.T,
         variant=args.variant,
-        kind=kind,
         initial_permutation=initial,
         arithmetic="binary64",
         stride=args.stride,
@@ -239,15 +214,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, GroundSetTooLarge) as exc:
+    except (SchemaError, GroundSetTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -518,12 +518,6 @@ class DualModularInstance:
     def n(self) -> int:
         return self.ground.n
 
-    def f_value(self, mask: int) -> Fraction:
-        return self.f.value(mask)
-
-    def g_value(self, mask: int) -> Fraction:
-        return self.g.value(mask)
-
     def tables(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
         """((F, Df), (G, Dg)) with F[mask] == f(mask) * Df and G[mask] == g(mask) * Dg."""
         return self.f.table(self.n), self.g.table(self.n)
@@ -715,14 +709,25 @@ def residual_instance(inst: DualModularInstance, mask: int) -> DualModularInstan
         return inst
     keep = [i for i in range(inst.n) if not mask >> i & 1]
     ground = GroundSet(tuple(inst.ground.labels[i] for i in keep))
-    index_map = tuple(keep)
     return DualModularInstance(
         ground=ground,
-        f=Marginal(inst.f, mask, index_map),
-        g=Marginal(inst.g, mask, index_map),
+        f=_restrict(inst.f, mask, keep),
+        g=_restrict(inst.g, mask, keep),
         normalized=False,
         check_totals=False,
     )
+
+
+def _restrict(spec: SetFunctionSpec, mask: int, keep: list[int]) -> Marginal:
+    """spec(. | mask) on the elements ``keep``, one view over the original spec.
+
+    A marginal of a marginal is the base's marginal at the union of both
+    anchors, so a value costs two base calls at any peel depth, where a
+    nested view would double that at every level.
+    """
+    if isinstance(spec, Marginal):
+        return Marginal(spec.base, spec.anchor | spec._expand(mask), tuple(spec.index_map[i] for i in keep))
+    return Marginal(spec, mask, tuple(keep))
 
 
 # ---------------------------------------------------------------------------

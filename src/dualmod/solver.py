@@ -29,7 +29,7 @@ import csv
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -59,7 +59,7 @@ from .rational import format_rational
 class SolverConfig:
     iterations: int
     variant: str = "fw"  # "fw" | "greedypp"
-    kind: DivergenceKind = QUADRATIC  # reporting and bounds only; oracle is universal
+    kind: DivergenceKind = QUADRATIC  # not read: the sorting oracle serves every kind
     initial_permutation: Optional[Permutation] = None
     arithmetic: str = "binary64"  # "binary64" | "rational"
     stride: int = 10
@@ -101,13 +101,6 @@ class SolverTrace:
         return Allocation(x=self.final_x, y=self.final_y)
 
     def to_json(self) -> dict:
-        def num(v):
-            if v is None:
-                return None
-            if isinstance(v, Fraction):
-                return format_rational(v)
-            return float(v)
-
         return {
             "variant": self.variant,
             "arithmetic": self.arithmetic,
@@ -115,22 +108,20 @@ class SolverTrace:
             "rows": [
                 {
                     "k": r.k,
-                    "phi_quadratic": num(r.phi_quadratic),
-                    "phi_kl": num(r.phi_kl),
-                    "phi_eg": num(r.phi_eg),
+                    "phi_quadratic": _num(r.phi_quadratic),
+                    "phi_kl": _num(r.phi_kl),
+                    "phi_eg": _num(r.phi_eg),
                     "rho": None
                     if r.rho is None
-                    else {lab: num(v) for lab, v in zip(self.labels, r.rho)},
+                    else {lab: _num(v) for lab, v in zip(self.labels, r.rho)},
                 }
                 for r in self.rows
             ],
-            "final_rho": {lab: num(v) for lab, v in zip(self.labels, self.final_rho)},
+            "final_rho": {lab: _num(v) for lab, v in zip(self.labels, self.final_rho)},
         }
 
-    def to_csv(self, path, include_densities: bool = True) -> None:
-        header = ["k", "phi_quadratic", "phi_kl", "phi_eg"]
-        if include_densities:
-            header += [f"rho_{lab}" for lab in self.labels]
+    def to_csv(self, path) -> None:
+        header = ["k", "phi_quadratic", "phi_kl", "phi_eg"] + [f"rho_{lab}" for lab in self.labels]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -138,12 +129,20 @@ class SolverTrace:
                 row = [r.k]
                 for v in (r.phi_quadratic, r.phi_kl, r.phi_eg):
                     row.append("" if v is None else float(v))
-                if include_densities:
-                    if r.rho is None:
-                        row += [""] * len(self.labels)
-                    else:
-                        row += [float(v) for v in r.rho]
+                if r.rho is None:
+                    row += [""] * len(self.labels)
+                else:
+                    row += [float(v) for v in r.rho]
                 writer.writerow(row)
+
+
+def _num(v):
+    """JSON form of a trace or bound value: "p/q" for a Fraction, else a float or None."""
+    if v is None:
+        return None
+    if isinstance(v, Fraction):
+        return format_rational(v)
+    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +242,12 @@ def _densities(x, y, labels):
     return rho
 
 
-def _phi_values(x, y):
-    """(quadratic, kl, eg) objective values at the current pair, None off-domain."""
+def _phi_values(rho, y):
+    """(quadratic, kl, eg) objective values at densities rho = x / y; kl or eg None off-domain."""
     quad = None
     kl = 0.0
     eg = 0.0
-    for xu, yu in zip(x, y):
-        if yu == 0:
-            return None, None, None
-        t = xu / yu
+    for t, yu in zip(rho, y):
         q = yu * t * t
         quad = q if quad is None else quad + q
         ft = float(t)
@@ -269,7 +265,7 @@ def _phi_values(x, y):
     return quad, kl, eg
 
 
-def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrace:
+def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma) -> SolverTrace:
     as_float = cfg.arithmetic == "binary64"
     f = _Memo(inst.f, as_float)
     g = _Memo(inst.g, as_float)
@@ -278,13 +274,16 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
     x, y = f.vertex(sigma0), g.vertex(sigma0)
+    # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
+    lead = 1 if variant == "greedypp" else 2
 
     rows = []
     for k in range(cfg.iterations):
+        gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
         rho = _densities(x, y, labels)
-        sigma = pick_sigma(k, x, rho, f)
+        sigma = pick_sigma(x, rho, f, gamma)
         snapshot = k % cfg.stride == 0 or k == cfg.iterations - 1
-        quad, kl, eg = _phi_values(x, y)
+        quad, kl, eg = _phi_values(rho, y)
         rows.append(
             TraceRow(
                 k=k,
@@ -297,36 +296,29 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, pick_sigma) -> SolverTrac
             )
         )
         c, d = f.vertex(sigma), g.vertex(sigma)
-        if cfg.variant == "greedypp":
-            gamma = 1.0 / (k + 1) if as_float else Fraction(1, k + 1)
-        else:
-            gamma = 2.0 / (k + 2) if as_float else Fraction(2, k + 2)
         keep = 1 - gamma
         x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
         y = [keep * yu + gamma * du for yu, du in zip(y, d)]
 
-    final_rho = tuple(_densities(x, y, labels))
     return SolverTrace(
-        variant=cfg.variant,
+        variant=variant,
         arithmetic=cfg.arithmetic,
         iterations=cfg.iterations,
         labels=labels,
         rows=tuple(rows),
         final_x=tuple(x),
         final_y=tuple(y),
-        final_rho=final_rho,
+        final_rho=tuple(_densities(x, y, labels)),
     )
 
 
 def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Run the density-sorting iteration for cfg.iterations steps."""
-    if cfg.variant != "fw":
-        cfg = replace(cfg, variant="fw")
 
-    def pick(k, x, rho, f):
+    def pick(x, rho, f, gamma):
         return sort_by_density(rho)
 
-    return _run(inst, cfg, pick)
+    return _run(inst, cfg, "fw", pick)
 
 
 def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]:
@@ -348,14 +340,10 @@ def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]
 
 def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Greedy++ iteration; the cost function must be linear."""
-    weights = as_linear_weights(inst.g, inst.n)
-    if weights is None:
+    if as_linear_weights(inst.g, inst.n) is None:
         raise NotLinearCost()
-    if cfg.variant != "greedypp":
-        cfg = replace(cfg, variant="greedypp")
 
-    def pick(k, x, rho, f):
-        gamma = 1.0 / (k + 1) if cfg.arithmetic == "binary64" else Fraction(1, k + 1)
+    def pick(x, rho, f, gamma):
         keep = 1 - gamma
         remaining = inst.ground.full_mask
         order_rev = []
@@ -376,7 +364,7 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
             f_rem = f.value(remaining)
         return Permutation(tuple(reversed(order_rev)))
 
-    return _run(inst, cfg, pick)
+    return _run(inst, cfg, "greedypp", pick)
 
 
 def solve(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
@@ -404,19 +392,14 @@ class ErrorBounds:
     scaling: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def num(v):
-            if isinstance(v, Fraction):
-                return format_rational(v)
-            return v if v is None else float(v)
-
         return {
             "kind": self.kind,
             "iterations": self.iterations,
             "f_min": format_rational(self.f_min),
             "g_min": format_rational(self.g_min),
-            "hessian_upper": num(self.hessian_upper),
-            "curvature_upper": num(self.curvature_upper),
-            "objective_gap_upper": num(self.objective_gap_upper),
+            "hessian_upper": _num(self.hessian_upper),
+            "curvature_upper": _num(self.curvature_upper),
+            "objective_gap_upper": _num(self.objective_gap_upper),
             "absolute_density_upper": self.absolute_density_upper,
             "multiplicative_density_upper": self.multiplicative_density_upper,
             "scaling": self.scaling,
@@ -446,20 +429,25 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
         raise StructuralError("g_min = 0: the cost function is not strictly monotone")
 
     inf = math.inf
+    # each branch: a Hessian bound and the strong-convexity constant that
+    # turns an objective gap into a squared density error
     if kind.name == "quadratic":
         hessian = 4 / g_min**3
+        convexity = g_min**2
         scaling = {
             "absolute": {"g_min": -2.5, "T_plus_2": -0.5},
             "multiplicative": {"f_min": -1.0, "g_min": -2.5, "T_plus_2": -0.5},
         }
     elif kind.name == "kl":
         hessian = 1 / g_min**2 + 1 / f_min if f_min > 0 else inf
+        convexity = f_min * g_min**2 / 2
         scaling = {
             "absolute": {"f_min": -0.5, "g_min": -1.0, "hessian_upper": 0.5, "T_plus_2": -0.5},
             "multiplicative": {"f_min": -1.5, "g_min": -1.0, "hessian_upper": 0.5, "T_plus_2": -0.5},
         }
     elif kind.name == "eg":
         hessian = 1 / g_min + 1 / f_min**2 if f_min > 0 else inf
+        convexity = g_min**3 / 2
         scaling = {
             "absolute": {"g_min": -1.5, "hessian_upper": 0.5, "T_plus_2": -0.5},
             "multiplicative": {"f_min": -1.0, "g_min": -1.5, "hessian_upper": 0.5, "T_plus_2": -0.5},
@@ -470,14 +458,7 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
     curvature = 4 * hessian
     gap = 2 * curvature / (T + 2) if curvature != inf else inf
 
-    if gap == inf:
-        absolute = inf
-    elif kind.name == "quadratic":
-        absolute = math.sqrt(float(gap / g_min**2))
-    elif kind.name == "kl":
-        absolute = math.sqrt(float(2 * gap / (f_min * g_min**2)))
-    else:
-        absolute = math.sqrt(float(2 * gap / g_min**3))
+    absolute = inf if gap == inf else math.sqrt(float(gap / convexity))
 
     if f_min <= 0:
         warnings.warn(
@@ -488,12 +469,8 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
         multiplicative = None
     elif gap == inf:
         multiplicative = inf
-    elif kind.name == "quadratic":
-        multiplicative = math.sqrt(float(gap / (f_min * g_min) ** 2))
-    elif kind.name == "kl":
-        multiplicative = math.sqrt(float(2 * gap / (f_min**3 * g_min**2)))
     else:
-        multiplicative = math.sqrt(float(2 * gap / (f_min**2 * g_min**3)))
+        multiplicative = math.sqrt(float(gap / (convexity * f_min**2)))
 
     return ErrorBounds(
         kind=kind.name,

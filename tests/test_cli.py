@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 
 import pytest
 
 import dualmod as dm
+from dualmod import errors
 from dualmod.cli import main
 
 from conftest import fixture_path
@@ -268,3 +270,40 @@ class TestErrorPaths:
         assert code == 1
         assert "f.values" in err
         assert "given twice" in err
+
+
+# one instance of every exception class in dualmod.errors, with its exit code:
+# 1 for schema and size-cap errors, 2 for structural failures, 3 for the rest
+EXIT_CODES = [
+    (errors.SchemaError("f.kind", "unknown spec kind"), 1),
+    (errors.GroundSetTooLarge(20, 18, "density_decomposition"), 1),
+    (errors.StructuralError("not dual-modular"), 2),
+    (errors.NotStrictlyMonotone("g", (0, 1)), 2),
+    (errors.ZeroTotal("f"), 2),
+    (errors.DualModError("unclassified"), 3),
+    (errors.NegativeEta(-1), 3),
+    (errors.ZeroCostCoordinate(0, "a"), 3),
+    (errors.DomainError("-log t undefined"), 3),
+    (errors.InfiniteDensity(3), 3),
+    (errors.EmptyResidual(), 3),
+    (errors.DecompositionError("parts do not cover the ground set"), 3),
+    (errors.AlphaOutOfRange(2), 3),
+    (errors.NotLinearCost(), 3),
+    (errors.WeightSumMismatch(2), 3),
+]
+
+
+def test_exit_code_table_lists_every_error_class():
+    classes = {
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.DualModError)
+    }
+    assert {type(exc) for exc, _ in EXIT_CODES} == classes
+
+
+@pytest.mark.parametrize("exc,code", EXIT_CODES, ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+def test_error_class_maps_to_exit_code(capsys, monkeypatch, exc, code):
+    def raise_it(path):
+        raise exc
+
+    monkeypatch.setattr("dualmod.cli.load_instance", raise_it)
+    assert run(capsys, "decompose", fixture_path("p3")) == (code, "", f"error: {exc}\n")

@@ -88,6 +88,14 @@ class TestBruteForceOracle:
         assert mask == inst.ground.full_mask
         assert value == 0
 
+    def test_value_and_reward_tie_takes_decomposition_prefix(self):
+        # f = g = (0, 1, 0, 1): at alpha = 1 the masks {x} and {x, y} tie on
+        # the value and on f; the decomposition prefix {x, y} wins, not the
+        # lowest tie {x}
+        table = dm.ExplicitTable((F(0), F(1), F(0), F(1)))
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("x", "y")), f=table, g=table)
+        assert dm.best_response_bruteforce(inst, F(1)) == (3, 0)
+
     def test_uniqueness_between_densities(self):
         # strictly between consecutive densities the maximiser of
         # f(S) - gamma * g(S) is the single prefix union

@@ -190,6 +190,19 @@ class TestVerify:
         with pytest.raises(dm.errors.GroundSetTooLarge):
             dm.verify_dual_modularity(inst)
 
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_strict_decrease_witness(self, which):
+        # h = (0, 2, 1, 1): h({a, b}) < h({a}), the first step that decreases
+        ground = dm.GroundSet(("a", "b"))
+        decreasing = dm.ExplicitTable((F(0), F(2), F(1), F(1)))
+        specs = {"f": dm.Linear((F(1), F(1))), "g": dm.Linear((F(1), F(1))), which: decreasing}
+        report = dm.verify_dual_modularity(dm.DualModularInstance(ground=ground, **specs))
+        witnesses = report.to_json(ground)["witnesses"]
+        assert not report.dual_modular
+        assert witnesses[f"{which}_monotone"] == [["a"], ["a", "b"]]
+        if which == "g":
+            assert witnesses["g_strictly_monotone"] == [["a"], ["a", "b"]]
+
     def test_supermodularity_witness_is_real(self):
         # not supermodular: concave of cardinality used as a reward
         ground = dm.GroundSet(("x", "y"))
@@ -396,6 +409,43 @@ class TestResidual:
         assert res.f.value(1) == 0
         assert res.g.value(1) == 1
 
+    def test_residual_of_residual_is_one_view(self, monkeypatch):
+        # 12 loops, peeled one element at a time: at depth 8 the 16-entry
+        # table costs two base calls per entry, not two per nesting level
+        n = 12
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+            f=dm.EdgesInside(tuple((u, u, F(u + 1)) for u in range(n))),
+            g=dm.Linear((F(1),) * n),
+        )
+        res = inst
+        for _ in range(8):
+            res = dm.residual_instance(res, 1)
+        assert res.ground.labels == ("v8", "v9", "v10", "v11")
+        assert res.f.base is inst.f and res.f.anchor == 0xFF and res.f.index_map == (8, 9, 10, 11)
+        calls = []
+        value = dm.EdgesInside.value
+        monkeypatch.setattr(dm.EdgesInside, "value", lambda self, mask: calls.append(mask) or value(self, mask))
+        assert res.f.table(4) == ([0, 9, 10, 19, 11, 20, 21, 30, 12, 21, 22, 31, 23, 32, 33, 42], 1)
+        assert len(calls) == 2 * 16
+
+    def test_residual_chains_match_nested_marginals(self):
+        # the nested definition: each peel wraps the previous residual's spec
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            inst = random_instance(rng, int(rng.integers(2, 7)))
+            res, f, g, labels = inst, inst.f, inst.g, inst.ground.labels
+            while res.n > 1:
+                mask = int(rng.integers(1, res.ground.full_mask))
+                keep = tuple(i for i in range(res.n) if not mask >> i & 1)
+                f, g = dm.Marginal(f, mask, keep), dm.Marginal(g, mask, keep)
+                labels = tuple(labels[i] for i in keep)
+                res = dm.residual_instance(res, mask)
+                nested = dm.DualModularInstance(ground=res.ground, f=f, g=g, check_totals=False)
+                assert res.ground.labels == labels
+                assert value_tables(res) == value_tables(nested)
+                assert not isinstance(res.f.base, dm.Marginal)
+
 
 class TestJson:
     def test_roundtrip(self, sec32, p3, tri_iso, hardness):
@@ -404,6 +454,34 @@ class TestJson:
             for s in range(1 << inst.n):
                 assert again.f.value(s) == inst.f.value(s)
                 assert again.g.value(s) == inst.g.value(s)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dm.ExplicitTable((F(0), F(1), F(1, 2), F(2), F(1), F(3), F(2), F(9, 2))),
+            dm.EdgesInside(((0, 1, F(2)), (1, 2, F(1, 3)), (2, 2, F(5, 7)))),
+            dm.Linear((F(1), F(1, 2), F(3))),
+            dm.ConcaveOfCardinality((F(0), F(3), F(5), F(6))),
+            dm.Scaled(dm.Linear((F(1), F(2), F(3))), F(2, 3)),
+            dm.Perturbed(dm.ConcaveOfCardinality((F(0), F(3), F(5), F(6))), F(1, 7)),
+            dm.ComplementOf(dm.ConcaveOfCardinality((F(0), F(3), F(5), F(6))), 3),
+        ],
+        ids=lambda spec: type(spec).__name__,
+    )
+    def test_every_kind_roundtrips(self, spec):
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("x", "y", "z")), f=spec, g=spec)
+        blob = dm.instance_to_json(inst)
+        again = dm.instance_from_json(blob)
+        assert (again.f, again.g) == (spec, spec)
+        assert dm.instance_to_json(again) == blob
+
+    def test_residual_marginal_serializes_as_table(self, tri_iso):
+        res = dm.residual_instance(dm.residual_instance(tri_iso, 1), 1)
+        assert isinstance(res.f, dm.Marginal)
+        again = dm.instance_from_json(dm.instance_to_json(res))
+        assert isinstance(again.f, dm.ExplicitTable) and isinstance(again.g, dm.ExplicitTable)
+        assert again.ground == res.ground
+        assert value_tables(again) == value_tables(res)
 
     def test_complement_serializes(self):
         ground = dm.GroundSet(("x", "y"))

@@ -218,6 +218,23 @@ class TestErrorBounds:
         assert b.objective_gap_upper == F(864, 100)
         assert float(b.objective_gap_upper) == 8.64
 
+    @pytest.mark.parametrize(
+        "kind,hessian,absolute,multiplicative",
+        [
+            # f_min = 1/2, g_min = 1/3, T = 98, so gap = 2 * 4 * hessian / 100
+            # kl: 1/g^2 + 1/f; gap / (f g^2 / 2) and gap / (f^3 g^2 / 2)
+            (dm.ENTROPY_KL, 11, F(792, 25), F(3168, 25)),
+            # eg: 1/g + 1/f^2; gap / (g^3 / 2) and gap / (f^2 g^3 / 2)
+            (dm.EISENBERG_GALE, 7, F(756, 25), F(3024, 25)),
+        ],
+    )
+    def test_log_kind_constants(self, kind, hessian, absolute, multiplicative):
+        b = dm.error_bounds(self._normalized(F(1, 3)), kind, 98)
+        assert b.hessian_upper == hessian
+        assert b.objective_gap_upper == F(8 * hessian, 100)
+        assert b.absolute_density_upper == math.sqrt(float(absolute))
+        assert b.multiplicative_density_upper == math.sqrt(float(multiplicative))
+
     def test_bounds_vanish_with_iterations(self):
         inst = self._normalized()
         b1 = dm.error_bounds(inst, dm.QUADRATIC, 100)

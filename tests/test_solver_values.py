@@ -67,7 +67,7 @@ def reference_run(inst, cfg, f, g, walk):
             sigma = dm.sort_by_density(rho)
         else:
             sigma = greedy_order(f, x, k, as_float)
-        rows.append(TraceRow(k, *_phi_values(x, y), sigma=sigma, rho=rho, allocation=(tuple(x), tuple(y))))
+        rows.append(TraceRow(k, *_phi_values(rho, y), sigma=sigma, rho=rho, allocation=(tuple(x), tuple(y))))
         num, den = (1, k + 1) if cfg.variant == "greedypp" else (2, k + 2)
         gamma = num / den if as_float else F(num, den)
         c, d = walk(f, sigma), walk(g, sigma)
