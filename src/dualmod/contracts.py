@@ -15,15 +15,8 @@ from typing import Optional
 
 from .decomposition import DensityDecomposition, density_decomposition
 from .divergence import HockeyStick, divergence
-from .errors import AlphaOutOfRange, DualModError, GroundSetTooLarge, SchemaError
-from .instance import (
-    DEFAULT_ENUM_LIMIT,
-    DualModularInstance,
-    ExplicitTable,
-    GroundSet,
-    Linear,
-    brute_limit,
-)
+from .errors import AlphaOutOfRange, DualModError, SchemaError
+from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, ExplicitTable, GroundSet, Linear, check_size
 from .permutation import Allocation
 from .rational import format_rational
 
@@ -66,10 +59,8 @@ def best_response_bruteforce(
     lowest mask.  Serves as the testing oracle for :func:`best_response`.
     """
     alpha = _check_alpha(alpha)
-    limit = brute_limit(DEFAULT_ENUM_LIMIT, max_n)
     n = inst.n
-    if n > limit:
-        raise GroundSetTooLarge(n, limit, "best_response_bruteforce")
+    check_size(n, DEFAULT_ENUM_LIMIT, max_n, "best_response_bruteforce")
     # for alpha = p/q, alpha f(S) - g(S) = (p F[S] Dg - q G[S] Df) / (q Df Dg)
     (ftab, df), (gtab, dg) = inst.tables()
     pf, qg = alpha.numerator * dg, alpha.denominator * df
@@ -119,16 +110,8 @@ def optimal_contract(
     only those need checking.  With no critical value the agent never
     responds non-trivially and the principal gets nothing.
     """
-    candidates = critical_values(dec)
-    if not candidates:
-        return Fraction(0), 0, Fraction(0)
-    best = None
-    for alpha in candidates:  # ascending, so ties keep the smaller alpha
-        mask = best_response(inst, dec, alpha)
-        up = principal_utility(inst, alpha, mask)
-        if best is None or up > best[2]:
-            best = (alpha, mask, up)
-    return best
+    a = analyze_contracts(inst, dec)
+    return a.optimal_alpha, a.optimal_response, a.optimal_principal_utility
 
 
 def duality_gap(inst: DualModularInstance, mask: int, allocation: Allocation, gamma) -> Fraction:
@@ -178,20 +161,24 @@ class ContractAnalysis:
 
 
 def analyze_contracts(inst: DualModularInstance, dec: DensityDecomposition) -> ContractAnalysis:
+    """The best response and both utilities at every critical value, and the optimum.
+
+    The optimum is the first maximum of the principal's utility, so ties
+    keep the smaller alpha; with no critical value it is (0, empty set, 0).
+    """
     crit = critical_values(dec)
-    responses = [best_response(inst, dec, a) for a in crit]
-    ua = [agent_utility(inst, a, s) for a, s in zip(crit, responses)]
-    up = [principal_utility(inst, a, s) for a, s in zip(crit, responses)]
-    alpha, mask, value = optimal_contract(inst, dec)
-    return ContractAnalysis(
-        critical_values=tuple(crit),
-        responses=tuple(responses),
-        agent_utilities=tuple(ua),
-        principal_utilities=tuple(up),
-        optimal_alpha=alpha,
-        optimal_response=mask,
-        optimal_principal_utility=value,
-    )
+    responses, ua, up = [], [], []
+    for alpha in crit:
+        mask = best_response(inst, dec, alpha)
+        fv = inst.f.value(mask)
+        responses.append(mask)
+        ua.append(alpha * fv - inst.g.value(mask))
+        up.append((1 - alpha) * fv)
+    optimum = Fraction(0), 0, Fraction(0)
+    if crit:
+        best = max(range(len(crit)), key=up.__getitem__)
+        optimum = crit[best], responses[best], up[best]
+    return ContractAnalysis(tuple(crit), tuple(responses), tuple(ua), tuple(up), *optimum)
 
 
 def two_tier_instance(n_top: int, n_bottom: int) -> DualModularInstance:

@@ -16,13 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .divergence import DivergenceKind
-from .errors import DecompositionError, GroundSetTooLarge, InfiniteDensity
-from .instance import (
-    DEFAULT_DECOMP_LIMIT,
-    DualModularInstance,
-    GroundSet,
-    brute_limit,
-)
+from .errors import DecompositionError, InfiniteDensity
+from .instance import DEFAULT_DECOMP_LIMIT, DualModularInstance, GroundSet, check_size
 from .rational import format_rational
 
 
@@ -115,9 +110,7 @@ def _peels(inst: DualModularInstance, max_n: Optional[int]):
     Peel i takes the maximal densest subset of f(.|A), g(.|A) on the
     elements outside A, the union of the parts found so far.
     """
-    limit = brute_limit(DEFAULT_DECOMP_LIMIT, max_n)
-    if inst.n > limit:
-        raise GroundSetTooLarge(inst.n, limit, "maximal_densest_subset")
+    check_size(inst.n, DEFAULT_DECOMP_LIMIT, max_n, "maximal_densest_subset")
     (ftab, df), (gtab, dg) = inst.tables()
     full = inst.ground.full_mask
     anchor = 0

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, GroundSetTooLarge, SchemaError, ZeroCostCoordinate
-from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, brute_limit
-from .permutation import Allocation, subset_sums
+from .errors import DomainError, SchemaError, ZeroCostCoordinate
+from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, check_size, subset_sums
+from .permutation import Allocation
 from .rational import parse_rational
 
 
@@ -180,9 +180,7 @@ def hockey_stick_sup_form(
     if len(x) != len(y):
         raise SchemaError("divergence", "x and y must have the same length")
     n = len(x)
-    limit = brute_limit(DEFAULT_ENUM_LIMIT, max_n)
-    if n > limit:
-        raise GroundSetTooLarge(n, limit, "hockey_stick_sup_form")
+    check_size(n, DEFAULT_ENUM_LIMIT, max_n, "hockey_stick_sup_form")
     gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
     diffs = [xu - gamma * yu for xu, yu in zip(x, y)]
     sums = subset_sums(diffs, n)

@@ -10,6 +10,7 @@ class SchemaError(DualModError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

@@ -44,22 +44,32 @@ DEFAULT_ENUM_LIMIT = 16
 _ZERO = Fraction(0)
 
 
-def brute_limit(default: int, override: Optional[int] = None) -> int:
-    """Resolve a brute-force size cap; DUALMOD_BRUTE_LIMIT env wins over default."""
-    if override is not None:
-        if override < 0:
-            raise SchemaError("max_n", f"must be >= 0, got {override}")
-        return override
-    env = os.environ.get("DUALMOD_BRUTE_LIMIT")
-    if env is None:
-        return default
-    try:
-        limit = int(env)
-    except ValueError:
-        raise SchemaError("DUALMOD_BRUTE_LIMIT", f"expected an integer, got {env!r}") from None
+def check_size(n: int, default: int, max_n: Optional[int], what: str) -> None:
+    """Refuse a ground set above the brute-force cap of ``what``.
+
+    The cap is ``max_n`` when given, else DUALMOD_BRUTE_LIMIT when set, else
+    ``default``; a negative or malformed cap is a schema error.
+    """
+    name, limit = "max_n", max_n
+    if max_n is None:
+        name, limit = "DUALMOD_BRUTE_LIMIT", os.environ.get("DUALMOD_BRUTE_LIMIT", default)
+        try:
+            limit = int(limit)
+        except ValueError:
+            raise SchemaError(name, f"expected an integer, got {limit!r}") from None
     if limit < 0:
-        raise SchemaError("DUALMOD_BRUTE_LIMIT", f"must be >= 0, got {limit}")
-    return limit
+        raise SchemaError(name, f"must be >= 0, got {limit}")
+    if n > limit:
+        raise GroundSetTooLarge(n, limit, what)
+
+
+def subset_sums(vec: Sequence, n: int) -> list:
+    """sums[mask] = sum of vec over the elements of mask."""
+    sums = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        sums[mask] = sums[mask ^ (1 << low)] + vec[low]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +300,7 @@ class Linear(SetFunctionSpec):
 
     def table(self, n: int) -> tuple[list[int], int]:
         weights, den = self._cleared
-        tab = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            tab[mask] = tab[mask ^ (1 << low)] + weights[low]
-        return tab, den
+        return subset_sums(weights, n), den
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         weights, den = self._cleared
@@ -463,8 +469,12 @@ class Marginal(SetFunctionSpec):
             m &= m - 1
         return out
 
+    @cached_property
+    def _anchor_value(self) -> Fraction:
+        return self.base.value(self.anchor)
+
     def value(self, mask: int) -> Fraction:
-        return self.base.value(self._expand(mask) | self.anchor) - self.base.value(self.anchor)
+        return self.base.value(self._expand(mask) | self.anchor) - self._anchor_value
 
     def to_json(self, n: int) -> dict:
         return ExplicitTable(tuple(self.value(m) for m in range(1 << n))).to_json(n)
@@ -603,9 +613,7 @@ def _first_monotonicity_violations(tab: list[int], n: int) -> tuple[Optional[tup
 
 
 def _verify_tables(inst: DualModularInstance, max_n: Optional[int]) -> tuple[list[int], list[int]]:
-    limit = brute_limit(DEFAULT_VERIFY_LIMIT, max_n)
-    if inst.n > limit:
-        raise GroundSetTooLarge(inst.n, limit, "verify_dual_modularity")
+    check_size(inst.n, DEFAULT_VERIFY_LIMIT, max_n, "verify_dual_modularity")
     # sums and second differences compare the same at any positive scale
     (ftab, _), (gtab, _) = inst.tables()
     return ftab, gtab
@@ -651,10 +659,7 @@ def verify_dual_modularity(inst: DualModularInstance, max_n: Optional[int] = Non
 
 def perturb_strict(g: SetFunctionSpec, eta: Fraction) -> SetFunctionSpec:
     """g(S) + eta * |S|; restores strict monotonicity for any eta > 0."""
-    eta = Fraction(eta)
-    if eta < 0:
-        raise NegativeEta(eta)
-    return Perturbed(g, eta)
+    return Perturbed(g, Fraction(eta))
 
 
 def complement_instance(inst: DualModularInstance, max_n: Optional[int] = None) -> DualModularInstance:
@@ -722,8 +727,8 @@ def _restrict(spec: SetFunctionSpec, mask: int, keep: list[int]) -> Marginal:
     """spec(. | mask) on the elements ``keep``, one view over the original spec.
 
     A marginal of a marginal is the base's marginal at the union of both
-    anchors, so a value costs two base calls at any peel depth, where a
-    nested view would double that at every level.
+    anchors, so a value costs one base call at any peel depth, plus one per
+    view for the anchor, where a nested view would double that at every level.
     """
     if isinstance(spec, Marginal):
         return Marginal(spec.base, spec.anchor | spec._expand(mask), tuple(spec.index_map[i] for i in keep))
@@ -757,9 +762,10 @@ def extremes(inst: DualModularInstance) -> Extremes:
     full = inst.ground.full_mask
     f = inst.f
     g = inst.g
+    f_total, g_total = f.value(full), g.value(full)
     f_min = min(f.value(1 << u) for u in range(n))
-    f_max = max(f.value(full) - f.value(full ^ (1 << u)) for u in range(n))
-    g_min = min(g.value(full) - g.value(full ^ (1 << u)) for u in range(n))
+    f_max = max(f_total - f.value(full ^ (1 << u)) for u in range(n))
+    g_min = min(g_total - g.value(full ^ (1 << u)) for u in range(n))
     g_max = max(g.value(1 << u) for u in range(n))
 
     if n <= 7:
@@ -814,8 +820,8 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
             if values[m] is not None:
                 raise SchemaError(f"{field_name}.values", f"mask {m} given twice (key {key!r})")
             values[m] = parse_rational(v, f"{field_name}.values[{key}]")
-        return ExplicitTable(tuple(values))
-    if kind == "edges_inside":
+        make, args = ExplicitTable, (tuple(values),)
+    elif kind == "edges_inside":
         raw = obj.get("edges", [])
         if not isinstance(raw, list):
             raise SchemaError(f"{field_name}.edges", "expected a list of [u, v, weight]")
@@ -830,30 +836,34 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
             if not (0 <= u < n and 0 <= v < n):
                 raise SchemaError(f"{field_name}.edges[{i}]", "endpoint out of range")
             edges.append((u, v, parse_rational(e[2], f"{field_name}.edges[{i}]")))
-        return EdgesInside(tuple(edges))
-    if kind == "linear":
+        make, args = EdgesInside, (tuple(edges),)
+    elif kind == "linear":
         weights = obj.get("weights")
         if not isinstance(weights, list) or len(weights) != n:
             raise SchemaError(f"{field_name}.weights", f"expected {n} weights")
-        return Linear(tuple(parse_rational(w, f"{field_name}.weights[{i}]") for i, w in enumerate(weights)))
-    if kind == "concave_of_cardinality":
+        make, args = Linear, (tuple(parse_rational(w, f"{field_name}.weights[{i}]") for i, w in enumerate(weights)),)
+    elif kind == "concave_of_cardinality":
         phi = obj.get("phi")
         if not isinstance(phi, list) or len(phi) != n + 1:
             raise SchemaError(f"{field_name}.phi", f"expected {n + 1} values phi(0..n)")
-        return ConcaveOfCardinality(tuple(parse_rational(v, f"{field_name}.phi[{i}]") for i, v in enumerate(phi)))
-    if kind == "scaled":
-        return Scaled(
-            spec_from_json(obj.get("base"), ground, f"{field_name}.base"),
-            parse_rational(obj.get("factor"), f"{field_name}.factor"),
-        )
-    if kind == "perturbed":
-        return Perturbed(
-            spec_from_json(obj.get("base"), ground, f"{field_name}.base"),
-            parse_rational(obj.get("eta"), f"{field_name}.eta"),
-        )
-    if kind == "complement_of":
-        return ComplementOf(spec_from_json(obj.get("base"), ground, f"{field_name}.base"), n)
-    raise SchemaError(f"{field_name}.kind", f"unknown spec kind {kind!r} (expected one of {sorted(_SPEC_KINDS)})")
+        make, args = ConcaveOfCardinality, (tuple(parse_rational(v, f"{field_name}.phi[{i}]") for i, v in enumerate(phi)),)
+    elif kind == "scaled":
+        base = spec_from_json(obj.get("base"), ground, f"{field_name}.base")
+        make, args = Scaled, (base, parse_rational(obj.get("factor"), f"{field_name}.factor"))
+    elif kind == "perturbed":
+        base = spec_from_json(obj.get("base"), ground, f"{field_name}.base")
+        make, args = Perturbed, (base, parse_rational(obj.get("eta"), f"{field_name}.eta"))
+    elif kind == "complement_of":
+        make, args = ComplementOf, (spec_from_json(obj.get("base"), ground, f"{field_name}.base"), n)
+    else:
+        raise SchemaError(f"{field_name}.kind", f"unknown spec kind {kind!r} (expected one of {sorted(_SPEC_KINDS)})")
+    # the constructor's checks name its own field; put it under this spec's path
+    try:
+        return make(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"{field_name}.{exc.field}", exc.message) from None
+    except NegativeEta as exc:
+        raise SchemaError(f"{field_name}.eta", str(exc)) from None
 
 
 def instance_from_json(obj: dict) -> DualModularInstance:
@@ -872,11 +882,6 @@ def instance_from_json(obj: dict) -> DualModularInstance:
     normalized = obj.get("normalized", False)
     if not isinstance(normalized, bool):
         raise SchemaError("normalized", "expected a boolean")
-    # the empty set must evaluate to 0 no matter the representation
-    if f.value(0) != 0:
-        raise SchemaError("f", "f(empty) must be 0")
-    if g.value(0) != 0:
-        raise SchemaError("g", "g(empty) must be 0")
     return DualModularInstance(ground=ground, f=f, g=g, normalized=normalized)
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import GroundSetTooLarge, SchemaError, WeightSumMismatch, ZeroCostCoordinate
+from .errors import SchemaError, WeightSumMismatch, ZeroCostCoordinate
 from .instance import (
     DEFAULT_ENUM_LIMIT,
     DualModularInstance,
     SetFunctionSpec,
-    brute_limit,
+    check_size,
+    subset_sums,
 )
 
 
@@ -116,27 +117,15 @@ def allocation_from_mixture(
     q: WeightedPermutationList,
 ) -> Allocation:
     """x = sum_sigma p_sigma f^sigma and y = sum_tau q_tau g^tau."""
-    n = inst.n
-    x = [Fraction(0)] * n
-    for sigma, w in p.pairs:
-        fv = vertex(inst.f, sigma)
-        for u in range(n):
-            x[u] += w * fv[u]
-    y = [Fraction(0)] * n
-    for tau, w in q.pairs:
-        gv = vertex(inst.g, tau)
-        for u in range(n):
-            y[u] += w * gv[u]
-    return Allocation(x=tuple(x), y=tuple(y))
 
+    def mix(spec: SetFunctionSpec, pairs) -> tuple:
+        out = [Fraction(0)] * inst.n
+        for sigma, w in pairs:
+            for u, v in enumerate(vertex(spec, sigma)):
+                out[u] += w * v
+        return tuple(out)
 
-def subset_sums(vec: Sequence, n: int) -> list:
-    """sums[mask] = sum of vec over the elements of mask."""
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        sums[mask] = sums[mask ^ (1 << low)] + vec[low]
-    return sums
+    return Allocation(x=mix(inst.f, p.pairs), y=mix(inst.g, q.pairs))
 
 
 @dataclass(frozen=True)
@@ -162,10 +151,8 @@ def check_base_membership(
     ``slack`` loosens every constraint by an additive amount, for iterates
     carried in binary64 (exact allocations should pass with slack 0).
     """
-    limit = brute_limit(DEFAULT_ENUM_LIMIT, max_n)
     n = inst.n
-    if n > limit:
-        raise GroundSetTooLarge(n, limit, "check_base_membership")
+    check_size(n, DEFAULT_ENUM_LIMIT, max_n, "check_base_membership")
     if allocation.n != n:
         raise SchemaError("allocation", f"length {allocation.n} does not match n={n}")
     (ftab, df), (gtab, dg) = inst.tables()
@@ -209,12 +196,17 @@ def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = 
     no defined density, the situation the strict-monotonicity assumption on
     the cost function exists to rule out.
     """
-    out = []
-    for u, (xu, yu) in enumerate(zip(allocation.x, allocation.y)):
+    return tuple(density_ratios(allocation.x, allocation.y, labels))
+
+
+def density_ratios(x: Sequence, y: Sequence, labels: Optional[Sequence[str]] = None) -> list:
+    """[x_u / y_u for each u], raising :class:`ZeroCostCoordinate` on any y_u = 0."""
+    rho = []
+    for u, (xu, yu) in enumerate(zip(x, y)):
         if yu == 0:
             raise ZeroCostCoordinate(u, labels[u] if labels is not None else None)
-        out.append(xu / yu)
-    return tuple(out)
+        rho.append(xu / yu)
+    return rho
 
 
 def sort_by_density(rho: Sequence) -> Permutation:

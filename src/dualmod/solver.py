@@ -34,13 +34,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .divergence import QUADRATIC, DivergenceKind, HockeyStick
-from .errors import (
-    DomainError,
-    NotLinearCost,
-    SchemaError,
-    StructuralError,
-    ZeroCostCoordinate,
-)
+from .errors import DomainError, NotLinearCost, SchemaError, StructuralError
 from .instance import (
     ConcaveOfCardinality,
     DualModularInstance,
@@ -51,7 +45,7 @@ from .instance import (
     _prefix_masks,
     extremes,
 )
-from .permutation import Allocation, Permutation, marginals, sort_by_density, vertex
+from .permutation import Allocation, Permutation, density_ratios, marginals, sort_by_density, vertex
 from .rational import format_rational
 
 
@@ -233,15 +227,6 @@ class _Memo(dict):
     value = dict.__getitem__
 
 
-def _densities(x, y, labels):
-    rho = []
-    for u, (xu, yu) in enumerate(zip(x, y)):
-        if yu == 0:
-            raise ZeroCostCoordinate(u, labels[u])
-        rho.append(xu / yu)
-    return rho
-
-
 def _phi_values(rho, y):
     """(quadratic, kl, eg) objective values at densities rho = x / y; kl or eg None off-domain."""
     quad = None
@@ -280,7 +265,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
     rows = []
     for k in range(cfg.iterations):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
-        rho = _densities(x, y, labels)
+        rho = density_ratios(x, y, labels)
         sigma = pick_sigma(x, rho, f, gamma)
         snapshot = k % cfg.stride == 0 or k == cfg.iterations - 1
         quad, kl, eg = _phi_values(rho, y)
@@ -308,7 +293,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
         rows=tuple(rows),
         final_x=tuple(x),
         final_y=tuple(y),
-        final_rho=tuple(_densities(x, y, labels)),
+        final_rho=tuple(density_ratios(x, y, labels)),
     )
 
 

@@ -272,6 +272,40 @@ class TestErrorPaths:
         assert "given twice" in err
 
 
+EDGE = {"kind": "edges_inside", "edges": [[0, 1, 1]]}
+LINEAR = {"kind": "linear", "weights": [1, 1]}
+
+
+# a spec constructor's own check, reported under the spec's JSON path
+SPEC_ERRORS = [
+    ("g", {"kind": "linear", "weights": [1, -1]}, "g.weights: negative weight -1 at element 1"),
+    ("f", {"kind": "edges_inside", "edges": [[0, 1, -2]]}, "f.edges: negative edge weight -2 on (0, 1)"),
+    ("f", {"kind": "scaled", "base": EDGE, "factor": "-1/2"}, "f.factor: scale factor must be >= 0, got -1/2"),
+    (
+        "f",
+        {"kind": "perturbed", "eta": 1, "base": {"kind": "scaled", "base": EDGE, "factor": -1}},
+        "f.base.factor: scale factor must be >= 0, got -1",
+    ),
+    ("g", {"kind": "concave_of_cardinality", "phi": [0, 1, 3]}, "g.phi: increments must be non-increasing"),
+    ("f", {"kind": "explicit_table", "values": {"0": 0, "1": -1, "2": 0, "3": 1}}, "f.values: negative value -1 at mask 1"),
+    ("f", {"kind": "explicit_table", "values": {"0": 1, "1": 1, "2": 1, "3": 2}}, "f.values: value on the empty set must be 0"),
+    ("g", {"kind": "perturbed", "base": LINEAR, "eta": "-1/2"}, "g.eta: perturbation amount must be >= 0, got -1/2"),
+    (
+        "g",
+        {"kind": "scaled", "factor": 2, "base": {"kind": "perturbed", "base": LINEAR, "eta": -1}},
+        "g.base.eta: perturbation amount must be >= 0, got -1",
+    ),
+]
+
+
+@pytest.mark.parametrize("field,spec,message", SPEC_ERRORS, ids=[m.split(":")[0] for _, _, m in SPEC_ERRORS])
+def test_spec_constructor_error_names_json_path(capsys, tmp_path, field, spec, message):
+    bad = os.path.join(tmp_path, "bad.json")
+    with open(bad, "w") as fh:
+        json.dump({"labels": ["a", "b"], "f": EDGE, "g": LINEAR, field: spec}, fh)
+    assert run(capsys, "decompose", bad) == (1, "", f"error: {message}\n")
+
+
 # one instance of every exception class in dualmod.errors, with its exit code:
 # 1 for schema and size-cap errors, 2 for structural failures, 3 for the rest
 EXIT_CODES = [

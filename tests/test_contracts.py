@@ -263,3 +263,78 @@ class TestTwoTierFamily:
     def test_critical_values(self, hardness):
         dec = dm.density_decomposition(hardness)
         assert dm.critical_values(dec) == [F(1, 2), F(1)]
+
+
+def disjoint_cliques(rng, n):
+    """Cliques of 1 to 3 elements with pair and loop rewards and a linear cost.
+
+    Returns the instance and its part densities read off the construction:
+    a clique of s elements has density (pair (s - 1) / 2 + loop) / cost, the
+    largest over its subsets, and cliques of equal density share a part.
+    """
+    edges, costs, densities = [], [], set()
+    start = 0
+    while start < n:
+        size = min(int(rng.integers(1, 4)), n - start)
+        pair = F(int(rng.integers(0, 5)))
+        loop = F(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        cost = F(int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+        members = range(start, start + size)
+        edges += [(u, v, pair) for u in members for v in members if u < v]
+        edges += [(u, u, loop) for u in members]
+        costs += [cost] * size
+        densities.add((pair * (size - 1) / 2 + loop) / cost)
+        start += size
+    inst = dm.DualModularInstance(
+        ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+        f=dm.EdgesInside(tuple(edges)),
+        g=dm.Linear(tuple(costs)),
+    )
+    return inst, sorted(densities, reverse=True)
+
+
+def check_analysis(inst, densities):
+    """analyze_contracts against the densities, the brute-force responses and value_tables."""
+    dec = dm.density_decomposition(inst)
+    analysis = dm.analyze_contracts(inst, dec)
+    crit = [1 / rho for rho in densities if rho >= 1]
+    assert list(analysis.critical_values) == crit
+    ftab, gtab = value_tables(inst)
+    for alpha, mask, ua, up in zip(
+        crit, analysis.responses, analysis.agent_utilities, analysis.principal_utilities
+    ):
+        assert dm.best_response_bruteforce(inst, alpha) == (mask, ua)
+        assert ua == alpha * ftab[mask] - gtab[mask]
+        assert up == (1 - alpha) * ftab[mask]
+    optimum = (F(0), 0, F(0))
+    if crit:
+        first = analysis.principal_utilities.index(max(analysis.principal_utilities))
+        optimum = (crit[first], analysis.responses[first], analysis.principal_utilities[first])
+    assert (analysis.optimal_alpha, analysis.optimal_response, analysis.optimal_principal_utility) == optimum
+    assert dm.optimal_contract(inst, dec) == optimum
+    return analysis
+
+
+class TestAnalysisDifferential:
+    def test_disjoint_cliques(self):
+        rng = np.random.default_rng(91)
+        parts = []
+        for _ in range(40):
+            inst, densities = disjoint_cliques(rng, int(rng.integers(2, 11)))
+            parts.append(len(check_analysis(inst, densities).critical_values))
+        assert max(parts) >= 3  # the draws reach several critical values
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            inst = random_instance(rng, int(rng.integers(1, 8)))
+            check_analysis(inst, dm.density_decomposition(inst).densities)
+
+    def test_tied_optimum_keeps_the_smaller_alpha(self):
+        # densities 4 and 2: the principal gets (1 - 1/4) 4 = (1 - 1/2) (4 + 2) = 3
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(4), F(2))), g=dm.Linear((F(1), F(1)))
+        )
+        analysis = check_analysis(inst, [F(4), F(2)])
+        assert analysis.principal_utilities == (3, 3)
+        assert (analysis.optimal_alpha, analysis.optimal_response) == (F(1, 4), 0b01)

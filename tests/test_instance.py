@@ -218,6 +218,45 @@ class TestVerify:
         assert fa + fb > inst.f.value(a & b) + inst.f.value(a | b)
 
 
+def _ones_instance(n):
+    ones = tuple(F(1) for _ in range(n))
+    return dm.DualModularInstance(
+        ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))), f=dm.Linear(ones), g=dm.Linear(ones)
+    )
+
+
+# every brute-force entry point with its default cap and the name it reports
+SIZE_GATES = [
+    ("verify_dual_modularity", dm.instance.DEFAULT_VERIFY_LIMIT, lambda n, cap: dm.verify_dual_modularity(_ones_instance(n), cap)),
+    ("maximal_densest_subset", dm.instance.DEFAULT_DECOMP_LIMIT, lambda n, cap: dm.density_decomposition(_ones_instance(n), cap)),
+    (
+        "check_base_membership",
+        dm.instance.DEFAULT_ENUM_LIMIT,
+        lambda n, cap: dm.check_base_membership(_ones_instance(n), dm.Allocation((F(1),) * n, (F(1),) * n), cap),
+    ),
+    ("best_response_bruteforce", dm.instance.DEFAULT_ENUM_LIMIT, lambda n, cap: dm.best_response_bruteforce(_ones_instance(n), F(1, 2), cap)),
+    ("hockey_stick_sup_form", dm.instance.DEFAULT_ENUM_LIMIT, lambda n, cap: dm.hockey_stick_sup_form([F(1)] * n, [F(1)] * n, 1, cap)),
+]
+
+
+@pytest.mark.parametrize("source", ["default", "env", "max_n"])
+@pytest.mark.parametrize("what,default,call", SIZE_GATES, ids=[g[0] for g in SIZE_GATES])
+def test_size_cap_one_past_the_limit(monkeypatch, source, what, default, call):
+    # max_n wins over DUALMOD_BRUTE_LIMIT, which wins over the default
+    monkeypatch.delenv("DUALMOD_BRUTE_LIMIT", raising=False)
+    limit, cap = default, None
+    if source == "env":
+        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", "3")
+        limit = 3
+    elif source == "max_n":
+        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", "100")
+        limit = cap = 3
+    with pytest.raises(dm.errors.GroundSetTooLarge) as exc:
+        call(limit + 1, cap)
+    assert str(exc.value) == f"{what} requires n <= {limit}, got n = {limit + 1}"
+    assert (exc.value.n, exc.value.limit) == (limit + 1, limit)
+
+
 class TestPerturb:
     def test_zero_eta_identity(self, sec32):
         tilde = dm.perturb_strict(sec32.g, F(0))
@@ -364,6 +403,21 @@ class TestExtremes:
         else:
             assert dm.extremes(inst).f_min == phi[1]
 
+    def test_totals_evaluated_once(self, monkeypatch):
+        # n singletons and n co-singletons per function, plus f(V) and g(V)
+        n = 10
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+            f=dm.EdgesInside(tuple((u, (u + 1) % n, F(u + 1)) for u in range(n))),
+            g=dm.Linear(tuple(F(1, u + 1) for u in range(n))),
+        )
+        calls = []
+        for cls in (dm.EdgesInside, dm.Linear):
+            value = cls.value
+            monkeypatch.setattr(cls, "value", lambda self, mask, value=value: calls.append(mask) or value(self, mask))
+        dm.extremes(inst)
+        assert len(calls) == 4 * n + 2 == 42
+
 
 class TestMarginalMonotonicity:
     def test_supermodular_and_submodular_marginals(self):
@@ -411,7 +465,8 @@ class TestResidual:
 
     def test_residual_of_residual_is_one_view(self, monkeypatch):
         # 12 loops, peeled one element at a time: at depth 8 the 16-entry
-        # table costs two base calls per entry, not two per nesting level
+        # table costs one base call per entry plus one for the anchor, not
+        # two per nesting level
         n = 12
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
@@ -427,7 +482,7 @@ class TestResidual:
         value = dm.EdgesInside.value
         monkeypatch.setattr(dm.EdgesInside, "value", lambda self, mask: calls.append(mask) or value(self, mask))
         assert res.f.table(4) == ([0, 9, 10, 19, 11, 20, 21, 30, 12, 21, 22, 31, 23, 32, 33, 42], 1)
-        assert len(calls) == 2 * 16
+        assert len(calls) == 16 + 1
 
     def test_residual_chains_match_nested_marginals(self):
         # the nested definition: each peel wraps the previous residual's spec
