@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 
 from .contracts import analyze_contracts, best_response, agent_utility, principal_utility
 from .decomposition import density_decomposition
@@ -159,7 +160,9 @@ def _cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call; each subcommand's handler is bound then."""
     parser = argparse.ArgumentParser(
         prog="dualmod",
         description="Density decomposition, solvers and contract analysis "
@@ -210,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, GroundSetTooLarge, OSError) as exc:

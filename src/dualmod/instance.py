@@ -13,7 +13,8 @@ Values are exact rationals (`fractions.Fraction`), and every table of all
 is by verification, decomposition, membership, contracts and `extremes`.
 The n + 1 prefixes of one order come the same way, from a walk of O(m + n)
 integer operations for the structured kinds; the solver and the
-permutation vertices read those.  Nothing here ever rounds.
+permutation vertices read those.  Edge and linear ``value`` sums the same
+cleared integers into one Fraction.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .rational import format_rational, parse_rational
 DEFAULT_VERIFY_LIMIT = 14
 DEFAULT_DECOMP_LIMIT = 18
 DEFAULT_ENUM_LIMIT = 16
-
-_ZERO = Fraction(0)
 
 
 def check_size(n: int, default: int, max_n: Optional[int], what: str) -> None:
@@ -154,7 +153,8 @@ class SetFunctionSpec:
     generic implementations clear the denominators of ``value`` on every
     mask they return, which also serves ``ExplicitTable`` walks; structured
     kinds clear those of their inputs once per spec and run an integer
-    recurrence, O(m + n) integer operations per walk for m edges.
+    recurrence, O(m + n) integer operations per walk for m edges; edge and
+    linear ``value`` sums the same cleared integers into one ``Fraction``.
     ``check(n)`` raises :class:`SchemaError` unless the spec fits a ground
     set of n elements; instances call it at construction.
     """
@@ -224,11 +224,8 @@ class EdgesInside(SetFunctionSpec):
                 raise SchemaError("edges", f"negative edge weight {w} on ({u}, {v})")
 
     def value(self, mask: int) -> Fraction:
-        total = _ZERO
-        for u, v, w in self.edges:
-            if mask >> u & 1 and mask >> v & 1:
-                total += w
-        return total
+        edges, den = self._cleared
+        return Fraction(sum(w for u, v, w in edges if mask >> u & 1 and mask >> v & 1), den)
 
     @cached_property
     def _cleared(self) -> tuple[list[tuple[int, int, int]], int]:
@@ -286,13 +283,13 @@ class Linear(SetFunctionSpec):
                 raise SchemaError("weights", f"negative weight {w} at element {i}")
 
     def value(self, mask: int) -> Fraction:
-        total = _ZERO
-        m = mask
-        while m:
-            low = (m & -m).bit_length() - 1
-            total += self.weights[low]
-            m &= m - 1
-        return total
+        weights, den = self._cleared
+        total = 0
+        while mask:
+            low = (mask & -mask).bit_length() - 1
+            total += weights[low]
+            mask &= mask - 1
+        return Fraction(total, den)
 
     @cached_property
     def _cleared(self) -> tuple[list[int], int]:

@@ -6,9 +6,10 @@ import pytest
 
 import dualmod as dm
 from dualmod import errors
-from dualmod.cli import main
+from dualmod.cli import build_parser, main
 
 from conftest import fixture_path
+from test_golden import capture, expected
 
 
 def run(capsys, *argv):
@@ -106,6 +107,34 @@ class TestSolve:
         assert code == 0
         blob = json.loads(out)
         assert set(blob["final_rho"]) == {"1", "2", "3"}
+
+
+class TestParserReuse:
+    """main parses every argv with one parser; no call leaves state for the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_trace_is_not_carried_over(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert capture("p3", "solve", "--trace", str(trace))[0] == 0
+        trace.unlink()
+        assert capture("p3", "solve") == expected("p3", "solve")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_alpha_is_not_carried_over(self):
+        assert capture("tri_iso", "contracts", "--alpha", "1/2")[0] == 0
+        assert capture("tri_iso", "contracts") == expected("tri_iso", "contracts")
+
+    def test_max_n_is_not_carried_over(self):
+        assert capture("p3", "verify", "--max-n", "2")[0] == 1
+        assert capture("p3", "verify") == expected("p3", "verify")
+
+    def test_call_after_argparse_rejection(self):
+        with pytest.raises(SystemExit) as exc:
+            capture("p3", "solve", "--T", "abc")
+        assert exc.value.code == 2
+        assert capture("p3", "solve") == expected("p3", "solve")
 
 
 class TestContracts:

@@ -4,8 +4,10 @@ Each case runs one subcommand on one fixture and compares its stdout with
 ``golden/<fixture>.<command>.out``, and its exit code and stderr with the
 case's entry in ``golden/status.json``.  ``solve --trace`` on the fixtures
 in ``TRACED`` is compared with ``golden/<fixture>.trace.csv`` byte for byte.
-The files guard refactors that must not change what the command line
-prints.  Regenerate them, only when an output change is intended, with
+The cases run in-process through ``main``, one after another; ``solve`` also
+runs once per fixture in a fresh interpreter, as from a shell.  The files
+guard refactors that must not change what the command line prints.
+Regenerate them, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -38,16 +41,28 @@ CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
 TRACED = ("p3", "tri_iso")
 
 
+def argv(name: str, cmd: str, *extra: str) -> list[str]:
+    return [COMMANDS[cmd][0], os.path.join(FIXTURES, f"{name}.json"), *COMMANDS[cmd][1:], *extra]
+
+
 def capture(name: str, cmd: str, *extra: str) -> tuple[int, str, str]:
-    argv = [COMMANDS[cmd][0], os.path.join(FIXTURES, f"{name}.json"), *COMMANDS[cmd][1:], *extra]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(argv(name, cmd, *extra))
     return code, out.getvalue(), err.getvalue()
 
 
 def golden_file(name: str, cmd: str) -> str:
     return os.path.join(GOLDEN, f"{name}.{cmd}.out")
+
+
+def expected(name: str, cmd: str) -> tuple[int, str, str]:
+    """The golden (exit code, stdout, stderr) of one case."""
+    with open(golden_file(name, cmd), "r", encoding="utf-8", newline="") as fh:
+        out = fh.read()
+    with open(os.path.join(GOLDEN, "status.json"), "r", encoding="utf-8") as fh:
+        code, err = json.load(fh)[f"{name}.{cmd}"]
+    return code, out, err
 
 
 def trace_bytes(name: str, path) -> bytes:
@@ -63,11 +78,17 @@ def golden_trace(name: str) -> str:
 
 @pytest.mark.parametrize("name,cmd", CASES, ids=[f"{n}-{c}" for n, c in CASES])
 def test_cli_output_matches_golden(name, cmd):
-    code, out, err = capture(name, cmd)
-    with open(golden_file(name, cmd), "r", encoding="utf-8", newline="") as fh:
-        assert out == fh.read()
-    with open(os.path.join(GOLDEN, "status.json"), "r", encoding="utf-8") as fh:
-        assert [code, err] == json.load(fh)[f"{name}.{cmd}"]
+    assert capture(name, cmd) == expected(name, cmd)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fresh_process_matches_golden(name):
+    # one process, one call, as from a shell
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dm.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dualmod.cli", *argv(name, "solve")], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == expected(name, "solve")
 
 
 @pytest.mark.parametrize("name", TRACED)

@@ -5,7 +5,9 @@ and ``prefixes(order)`` the same for the n + 1 prefixes of one order; every
 consumer reads those integers.  The tests here compare the tables and the
 prefix walks with ``value`` for each spec kind, permutation vertices with a
 walk that calls ``value`` once per prefix, and base-polytope membership
-with the Fraction subset-sum check it replaced.
+with the Fraction subset-sum check it replaced.  ``value`` itself reads the
+same cleared integers for edges and linear weights, so it is checked against
+a Fraction sum over the raw inputs.
 """
 
 from fractions import Fraction as F
@@ -61,6 +63,51 @@ def specs(draw):
         spec = dm.residual_instance(inst, anchor).f
         assert isinstance(spec, dm.Marginal)
     return spec, n
+
+
+def fraction_value(spec, mask):
+    """The spec's value summed in Fractions from its raw ``edges`` and ``weights``."""
+    if isinstance(spec, dm.EdgesInside):
+        return sum((w for u, v, w in spec.edges if mask >> u & 1 and mask >> v & 1), F(0))
+    if isinstance(spec, dm.Linear):
+        return sum((w for i, w in enumerate(spec.weights) if mask >> i & 1), F(0))
+    if isinstance(spec, dm.Scaled):
+        return spec.factor * fraction_value(spec.base, mask)
+    if isinstance(spec, dm.Perturbed):
+        return fraction_value(spec.base, mask) + spec.eta * mask.bit_count()
+    full = (1 << spec.n) - 1
+    return fraction_value(spec.base, full) - fraction_value(spec.base, full ^ mask)
+
+
+@st.composite
+def summed_specs(draw):
+    """(spec, n) for n <= 8: edges or linear weights under up to two wrappers."""
+    n = draw(st.integers(1, 8))
+    wide = st.builds(F, st.integers(0, 400), st.integers(1, 60))
+    if draw(st.booleans()):
+        ends = st.integers(0, n - 1)
+        spec = dm.EdgesInside(tuple(draw(st.lists(st.tuples(ends, ends, wide), max_size=16))))
+    else:
+        spec = dm.Linear(tuple(draw(st.lists(wide, min_size=n, max_size=n))))
+    for wrapper in draw(st.lists(st.sampled_from(["scaled", "perturbed", "complement"]), max_size=2)):
+        if wrapper == "scaled":
+            spec = dm.Scaled(spec, draw(wide))
+        elif wrapper == "perturbed":
+            spec = dm.Perturbed(spec, draw(wide))
+        else:
+            spec = dm.ComplementOf(spec, n)
+    return spec, n
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(summed_specs())
+def test_value_is_the_fraction_sum_of_the_inputs(case):
+    # value, table and prefixes all read the cleared integers; this ties them to the raw inputs
+    spec, n = case
+    for m in range(1 << n):
+        value = spec.value(m)
+        assert type(value) is F
+        assert value == fraction_value(spec, m)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
