@@ -17,9 +17,9 @@ print("densities:", dec.densities)
 
 # As the agent's share alpha grows, the response climbs the prefix chain.
 for alpha in (F(0), F(1, 4), F(1, 3), F(1, 2), F(1)):
-    mask = dm.best_response(tri, dec, alpha)
+    mask, agent, _ = dm.contract_at(tri, dec, alpha)
     print(f"alpha = {alpha!s:>4}: response {tri.ground.labels_of(mask)}, "
-          f"agent utility {dm.agent_utility(tri, alpha, mask)}")
+          f"agent utility {agent}")
 
 analysis = dm.analyze_contracts(tri, dec)
 print("critical values:", analysis.critical_values)

@@ -87,13 +87,12 @@ from .solver import (
 from .contracts import (
     ContractAnalysis,
     analyze_contracts,
-    agent_utility,
     best_response,
     best_response_bruteforce,
+    contract_at,
     critical_values,
     duality_gap,
     optimal_contract,
-    principal_utility,
     two_tier_instance,
 )
 from . import errors

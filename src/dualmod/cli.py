@@ -10,13 +10,14 @@ errors such as a zero cost coordinate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
 from fractions import Fraction
 from functools import cache
 
-from .contracts import analyze_contracts, best_response, agent_utility, principal_utility
+from .contracts import analyze_contracts, contract_at, contract_row
 from .decomposition import density_decomposition
 from .divergence import HockeyStick, divergence, hockey_stick_sup_form, kind_from_string
 from .errors import DualModError, GroundSetTooLarge, SchemaError, StructuralError
@@ -37,8 +38,9 @@ EXIT_STRUCTURAL = 2
 EXIT_DOMAIN = 3
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(obj, file=None) -> None:
+    """Write obj as indented JSON and a newline to file, or to stdout."""
+    print(json.dumps(obj, indent=2), file=file)
 
 
 def _cmd_verify(args) -> int:
@@ -110,32 +112,20 @@ def _cmd_solve(args) -> int:
 def _cmd_contracts(args) -> int:
     inst = load_instance(args.instance)
     dec = density_decomposition(inst, args.max_n)
-    if args.alpha is not None:
+    if args.alpha is None:
+        _emit(analyze_contracts(inst, dec).to_json(inst.ground))
+    else:
         alpha = parse_rational(args.alpha, "alpha")
-        mask = best_response(inst, dec, alpha)
-        _emit(
-            {
-                "alpha": format_rational(alpha),
-                "response": inst.ground.labels_of(mask),
-                "agent_utility": format_rational(agent_utility(inst, alpha, mask)),
-                "principal_utility": format_rational(principal_utility(inst, alpha, mask)),
-            }
-        )
-        return EXIT_OK
-    _emit(analyze_contracts(inst, dec).to_json(inst.ground))
+        _emit(contract_row(inst.ground, alpha, *contract_at(inst, dec, alpha)))
     return EXIT_OK
 
 
 def _cmd_complement(args) -> int:
     inst = load_instance(args.instance)
     comp = complement_instance(inst, args.max_n)
-    obj = instance_to_json(comp)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-    else:
-        _emit(obj)
+    # no -o: a null context hands _emit no file, so it writes to stdout
+    with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext() as fh:
+        _emit(instance_to_json(comp), fh)
     return EXIT_OK
 
 
@@ -183,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("solve", help="iterative density approximation")
-    add_instance(p)
+    p.add_argument("instance", help="path to a JSON instance file")
     p.add_argument("--kind", default="quadratic", help="quadratic | kl | eg | hs:<gamma>")
     p.add_argument("--T", type=int, default=1000, help="number of iterations")
     p.add_argument("--variant", choices=("fw", "greedypp"), default="fw")

@@ -91,14 +91,25 @@ def critical_values(dec: DensityDecomposition) -> list[Fraction]:
     return [1 / rho for rho in dec.densities if rho >= 1]
 
 
-def agent_utility(inst: DualModularInstance, alpha, mask: int) -> Fraction:
+def contract_at(inst: DualModularInstance, dec: DensityDecomposition, alpha) -> tuple[int, Fraction, Fraction]:
+    """(S, alpha f(S) - g(S), (1 - alpha) f(S)) for the best response S at alpha.
+
+    That is the response and the agent's and principal's utilities; f and g are read once each.
+    """
     alpha = _check_alpha(alpha)
-    return alpha * inst.f.value(mask) - inst.g.value(mask)
+    mask = best_response(inst, dec, alpha)
+    fv = inst.f.value(mask)
+    return mask, alpha * fv - inst.g.value(mask), (1 - alpha) * fv
 
 
-def principal_utility(inst: DualModularInstance, alpha, mask: int) -> Fraction:
-    alpha = _check_alpha(alpha)
-    return (1 - alpha) * inst.f.value(mask)
+def contract_row(ground: GroundSet, alpha: Fraction, mask: int, agent: Fraction, principal: Fraction) -> dict:
+    """JSON form of one :func:`contract_at` answer at alpha."""
+    return {
+        "alpha": format_rational(alpha),
+        "response": ground.labels_of(mask),
+        "agent_utility": format_rational(agent),
+        "principal_utility": format_rational(principal),
+    }
 
 
 def optimal_contract(
@@ -139,18 +150,8 @@ class ContractAnalysis:
         return {
             "critical_values": [format_rational(a) for a in self.critical_values],
             "table": [
-                {
-                    "alpha": format_rational(a),
-                    "response": ground.labels_of(s),
-                    "agent_utility": format_rational(ua),
-                    "principal_utility": format_rational(up),
-                }
-                for a, s, ua, up in zip(
-                    self.critical_values,
-                    self.responses,
-                    self.agent_utilities,
-                    self.principal_utilities,
-                )
+                contract_row(ground, *row)
+                for row in zip(self.critical_values, self.responses, self.agent_utilities, self.principal_utilities)
             ],
             "optimal": {
                 "alpha": format_rational(self.optimal_alpha),
@@ -167,18 +168,13 @@ def analyze_contracts(inst: DualModularInstance, dec: DensityDecomposition) -> C
     keep the smaller alpha; with no critical value it is (0, empty set, 0).
     """
     crit = critical_values(dec)
-    responses, ua, up = [], [], []
-    for alpha in crit:
-        mask = best_response(inst, dec, alpha)
-        fv = inst.f.value(mask)
-        responses.append(mask)
-        ua.append(alpha * fv - inst.g.value(mask))
-        up.append((1 - alpha) * fv)
+    rows = [contract_at(inst, dec, alpha) for alpha in crit]
+    responses, ua, up = (tuple(row[i] for row in rows) for i in range(3))
     optimum = Fraction(0), 0, Fraction(0)
     if crit:
         best = max(range(len(crit)), key=up.__getitem__)
         optimum = crit[best], responses[best], up[best]
-    return ContractAnalysis(tuple(crit), tuple(responses), tuple(ua), tuple(up), *optimum)
+    return ContractAnalysis(tuple(crit), responses, ua, up, *optimum)
 
 
 def two_tier_instance(n_top: int, n_bottom: int) -> DualModularInstance:

@@ -107,14 +107,19 @@ class GroundSet:
         except ValueError:
             raise SchemaError("labels", f"unknown element {label!r}") from None
 
+    def element(self, e) -> int:
+        """Index of a label, or an element index itself; a boolean is neither."""
+        if isinstance(e, str):
+            return self.index_of(e)
+        if isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.n:
+            return e
+        raise SchemaError("element", f"{e!r} is neither a label nor an element index below {self.n}")
+
     def mask_of(self, elements) -> int:
         """Mask from an iterable of labels or element indices."""
         mask = 0
         for e in elements:
-            i = e if isinstance(e, int) else self.index_of(e)
-            if not 0 <= i < self.n:
-                raise SchemaError("mask", f"element index {i} out of range")
-            mask |= 1 << i
+            mask |= 1 << self.element(e)
         return mask
 
     def labels_of(self, mask: int) -> list[str]:
@@ -826,12 +831,10 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
         for i, e in enumerate(raw):
             if not isinstance(e, (list, tuple)) or len(e) != 3:
                 raise SchemaError(f"{field_name}.edges[{i}]", "expected [u, v, weight]")
-            if isinstance(e[0], bool) or isinstance(e[1], bool):
-                raise SchemaError(f"{field_name}.edges[{i}]", "endpoint must be an index or a label, got a boolean")
-            u = e[0] if isinstance(e[0], int) else ground.index_of(e[0])
-            v = e[1] if isinstance(e[1], int) else ground.index_of(e[1])
-            if not (0 <= u < n and 0 <= v < n):
-                raise SchemaError(f"{field_name}.edges[{i}]", "endpoint out of range")
+            try:
+                u, v = ground.element(e[0]), ground.element(e[1])
+            except SchemaError as exc:
+                raise SchemaError(f"{field_name}.edges[{i}]", exc.message) from None
             edges.append((u, v, parse_rational(e[2], f"{field_name}.edges[{i}]")))
         make, args = EdgesInside, (tuple(edges),)
     elif kind == "linear":

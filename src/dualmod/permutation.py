@@ -57,12 +57,10 @@ class Allocation:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise SchemaError("allocation", "x and y must have the same length")
-        for i, v in enumerate(self.x):
-            if v < 0:
-                raise SchemaError("allocation", f"x[{i}] = {v} is negative")
-        for i, v in enumerate(self.y):
-            if v < 0:
-                raise SchemaError("allocation", f"y[{i}] = {v} is negative")
+        for name, vec in (("x", self.x), ("y", self.y)):
+            for i, v in enumerate(vec):
+                if v < 0:
+                    raise SchemaError("allocation", f"{name}[{i}] = {v} is negative")
 
     @property
     def n(self) -> int:

@@ -183,16 +183,18 @@ class _Memo(dict):
 
     ``vertex(sigma)`` reads the n + 1 prefixes of sigma; the first time one
     of them is not stored, one ``spec.prefixes`` walk stores all n + 1.
-    Greedy++'s removal queries go through ``value``, which evaluates an
-    unstored mask on its own.  In binary64 mode a value is stored as a
-    float, the correctly rounded exact value; in rational mode as a
+    Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
+    evaluates an unstored mask on its own.  In binary64 mode a value is
+    stored as a float, the correctly rounded exact value (one beyond the
+    binary64 range raises :class:`DomainError`); in rational mode as a
     ``Fraction``.  A Frank-Wolfe step visits n + 1 prefixes and a Greedy++
     step at most n^2 masks, so T steps hold at most min(2^n, T n^2) values.
     """
 
-    def __init__(self, spec: SetFunctionSpec, as_float: bool):
+    def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str):
         super().__init__()
         self._spec = spec
+        self._name = name
         # int / int rounds correctly, as float(Fraction) does
         self._exact = operator.truediv if as_float else Fraction
 
@@ -214,17 +216,20 @@ class _Memo(dict):
 
     def _walk(self, order) -> list:
         ints, den = self._spec.prefixes(order)
-        values = [self._exact(v, den) for v in ints]
+        values = self._convert(ints, den)
         self.update(zip(_prefix_masks(order), values))
         return marginals(order, values)
 
     def __missing__(self, mask: int):
         v = self._spec.value(mask)
-        self[mask] = v = self._exact(v.numerator, v.denominator)
+        self[mask] = v = self._convert([v.numerator], v.denominator)[0]
         return v
 
-    # a plain dict lookup: a mask already stored costs no Python-level call
-    value = dict.__getitem__
+    def _convert(self, ints, den) -> list:
+        try:
+            return [self._exact(v, den) for v in ints]
+        except OverflowError:
+            raise DomainError(f"{self._name}: a value exceeds the binary64 range") from None
 
 
 def _phi_values(rho, y):
@@ -252,13 +257,28 @@ def _phi_values(rho, y):
 
 def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma) -> SolverTrace:
     as_float = cfg.arithmetic == "binary64"
-    f = _Memo(inst.f, as_float)
-    g = _Memo(inst.g, as_float)
+    f = _Memo(inst.f, as_float, "f")
+    g = _Memo(inst.g, as_float, "g")
     labels = inst.ground.labels
+
+    def cost_vertex(sigma: Permutation) -> list:
+        d = g.vertex(sigma)
+        # a binary64 share of 0 over a positive exact marginal is below the
+        # float resolution; an exact 0 is density_ratios' ZeroCostCoordinate
+        if as_float and 0.0 in d:
+            ints, den = inst.g.prefixes(sigma.order)
+            for u, exact in enumerate(marginals(sigma.order, ints)):
+                if d[u] == 0 and exact != 0:
+                    raise DomainError(
+                        f"g: cost share of element {labels[u]} is {format_rational(Fraction(exact, den))}, "
+                        "below binary64 resolution at the values of g around it, so it rounds to 0"
+                    )
+        return d
+
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = f.vertex(sigma0), g.vertex(sigma0)
+    x, y = f.vertex(sigma0), cost_vertex(sigma0)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
     lead = 1 if variant == "greedypp" else 2
 
@@ -280,7 +300,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
                 allocation=(tuple(x), tuple(y)) if snapshot else None,
             )
         )
-        c, d = f.vertex(sigma), g.vertex(sigma)
+        c, d = f.vertex(sigma), cost_vertex(sigma)
         keep = 1 - gamma
         x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
         y = [keep * yu + gamma * du for yu, du in zip(y, d)]
@@ -332,7 +352,7 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
         keep = 1 - gamma
         remaining = inst.ground.full_mask
         order_rev = []
-        f_rem = f.value(remaining)
+        f_rem = f[remaining]
         while remaining:
             best_u = None
             best_score = None
@@ -340,13 +360,13 @@ def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrac
             while m:
                 u = (m & -m).bit_length() - 1
                 m &= m - 1
-                score = keep * x[u] + gamma * (f_rem - f.value(remaining ^ (1 << u)))
+                score = keep * x[u] + gamma * (f_rem - f[remaining ^ (1 << u)])
                 if best_score is None or score < best_score:
                     best_score = score
                     best_u = u
             order_rev.append(best_u)
             remaining ^= 1 << best_u
-            f_rem = f.value(remaining)
+            f_rem = f[remaining]
         return Permutation(tuple(reversed(order_rev)))
 
     return _run(inst, cfg, "greedypp", pick)
@@ -443,7 +463,7 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
     curvature = 4 * hessian
     gap = 2 * curvature / (T + 2) if curvature != inf else inf
 
-    absolute = inf if gap == inf else math.sqrt(float(gap / convexity))
+    absolute = inf if gap == inf else _sqrt_or_inf(gap / convexity)
 
     if f_min <= 0:
         warnings.warn(
@@ -452,10 +472,8 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
             stacklevel=2,
         )
         multiplicative = None
-    elif gap == inf:
-        multiplicative = inf
     else:
-        multiplicative = math.sqrt(float(gap / (convexity * f_min**2)))
+        multiplicative = _sqrt_or_inf(gap / (convexity * f_min**2))
 
     return ErrorBounds(
         kind=kind.name,
@@ -469,3 +487,11 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
         multiplicative_density_upper=multiplicative,
         scaling=scaling,
     )
+
+
+def _sqrt_or_inf(q: Fraction) -> float:
+    """sqrt(q) as a float; inf, still an upper bound, where q is beyond the binary64 range."""
+    try:
+        return math.sqrt(float(q))
+    except OverflowError:
+        return math.inf

@@ -108,6 +108,26 @@ class TestSolve:
         blob = json.loads(out)
         assert set(blob["final_rho"]) == {"1", "2", "3"}
 
+    def test_initial_permutation_by_index(self, capsys):
+        # "3,2,1,0" names no label of hardness, so it is read as element indices
+        by_label = run(capsys, "solve", fixture_path("hardness"), "--T", "30", "--initial", "t2, t1, s2, s1")
+        by_index = run(capsys, "solve", fixture_path("hardness"), "--T", "30", "--initial", "3,2,1,0")
+        assert by_label[0] == 0
+        assert by_index == by_label
+        assert by_index != run(capsys, "solve", fixture_path("hardness"), "--T", "30")
+
+    @pytest.mark.parametrize("value", ["s1,s2,x,t2", "0,1,two,3", ""])
+    def test_initial_permutation_malformed(self, capsys, value):
+        code, out, err = run(capsys, "solve", fixture_path("hardness"), "--initial", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: initial: ")
+
+    def test_max_n_is_not_a_solve_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fixture_path("p3"), "--max-n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n 3" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """main parses every argv with one parser; no call leaves state for the next."""
@@ -153,6 +173,15 @@ class TestContracts:
         blob = json.loads(out)
         assert blob["response"] == ["1", "2", "3"]
         assert blob["agent_utility"] == "3/2"
+
+    @pytest.mark.parametrize("name", ["hardness", "sec32", "tri_iso"])
+    def test_alpha_query_prints_the_table_row(self, capsys, name):
+        # hardness has the critical values 1/2 and 1
+        table = json.loads(expected(name, "contracts")[1])["table"]
+        assert table
+        for row in table:
+            code, out, err = run(capsys, "contracts", fixture_path(name), "--alpha", row["alpha"])
+            assert (code, out, err) == (0, json.dumps(row, indent=2) + "\n", "")
 
 
 class TestComplement:
@@ -333,6 +362,36 @@ def test_spec_constructor_error_names_json_path(capsys, tmp_path, field, spec, m
     with open(bad, "w") as fh:
         json.dump({"labels": ["a", "b"], "f": EDGE, "g": LINEAR, field: spec}, fh)
     assert run(capsys, "decompose", bad) == (1, "", f"error: {message}\n")
+
+
+# valid instances beyond binary64 range or resolution, and edge endpoints that
+# name no element: (id, f, g, extra solve options, exit code, text in the output)
+LIN = {"kind": "linear", "weights": [1, 1]}
+INPUT_CASES = [
+    ("f-beyond-range", {"kind": "linear", "weights": ["1e400", 1]}, LIN, [], 3, "error: f: a value exceeds the binary64 range"),
+    ("g-beyond-range", LIN, {"kind": "linear", "weights": [1, "1e400"]}, [], 3, "error: g: a value exceeds the binary64 range"),
+    ("f-beyond-range-greedypp", {"kind": "linear", "weights": ["1e400", 1]}, LIN, ["--variant", "greedypp"], 3, "error: f:"),
+    ("g-below-resolution", LIN, {"kind": "linear", "weights": [1, "1/100000000000000000000"]}, [], 3,
+     "error: g: cost share of element b is 1/100000000000000000000, below binary64 resolution"),
+    ("g-below-underflow", LIN, {"kind": "linear", "weights": ["1e-400", 1]}, [], 3, "element a is 1/1" + "0" * 400 + ", below binary64"),
+    ("bound-beyond-range", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, [], 0, '"absolute_density_upper": Infinity'),
+    ("bound-beyond-range-kl", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "kl"], 0, '"multiplicative_density_upper": Infinity'),
+    ("bound-beyond-range-eg", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "eg"], 0, '"absolute_density_upper": Infinity'),
+    ("edge-unknown-label", {"kind": "edges_inside", "edges": [["a", "zz", 1]]}, LIN, [], 1, "error: f.edges[0]: unknown element 'zz'"),
+    ("edge-float-endpoint", {"kind": "edges_inside", "edges": [[0.0, 1, 1]]}, LIN, [], 1, "error: f.edges[0]: 0.0 is neither"),
+    ("edge-index-too-large", LIN, {"kind": "edges_inside", "edges": [[0, 1, 1], [1, 2, 1]]}, [], 1, "error: g.edges[1]: 2 is neither"),
+]
+
+
+@pytest.mark.parametrize("f,g,extra,code,text", [c[1:] for c in INPUT_CASES], ids=[c[0] for c in INPUT_CASES])
+def test_input_reaches_its_exit_code(capsys, tmp_path, f, g, extra, code, text):
+    path = os.path.join(tmp_path, "inst.json")
+    with open(path, "w") as fh:
+        json.dump({"labels": ["a", "b"], "f": f, "g": g}, fh)
+    got, out, err = run(capsys, "solve", path, "--T", "50", *extra)
+    assert got == code
+    assert text in (out if code == 0 else err)
+    assert "Traceback" not in err
 
 
 # one instance of every exception class in dualmod.errors, with its exit code:

@@ -131,6 +131,33 @@ class TestBruteForceOracle:
         assert alpha_confirmed >= 5
 
 
+class TestContractAt:
+    def test_hardness_half_is_the_analysis_row(self, hardness):
+        dec = dm.density_decomposition(hardness)
+        analysis = dm.analyze_contracts(hardness, dec)
+        i = analysis.critical_values.index(F(1, 2))
+        row = (analysis.responses[i], analysis.agent_utilities[i], analysis.principal_utilities[i])
+        assert dm.contract_at(hardness, dec, F(1, 2)) == row == (0b0011, F(0), F(2))
+
+    def test_any_alpha_against_the_tables(self):
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            inst = random_instance(rng, int(rng.integers(2, 7)))
+            dec = dm.density_decomposition(inst)
+            ftab, gtab = value_tables(inst)
+            for alpha in [F(0), F(1)] + [F(int(rng.integers(0, 101)), 100) for _ in range(4)]:
+                mask, agent, principal = dm.contract_at(inst, dec, alpha)
+                assert dm.best_response_bruteforce(inst, alpha) == (mask, agent)
+                assert agent == alpha * ftab[mask] - gtab[mask]
+                assert principal == (1 - alpha) * ftab[mask]
+
+    def test_alpha_out_of_range(self, tri_iso):
+        dec = dm.density_decomposition(tri_iso)
+        for bad in (F(-1, 2), F(3, 2)):
+            with pytest.raises(AlphaOutOfRange):
+                dm.contract_at(tri_iso, dec, bad)
+
+
 class TestCriticalValues:
     def test_sec32(self, sec32):
         dec = dm.density_decomposition(sec32)

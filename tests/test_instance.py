@@ -51,6 +51,18 @@ class TestGroundSet:
         assert m == 0b101
         assert g.labels_of(m) == ["a", "b"]
 
+    def test_element_is_a_label_or_an_index(self):
+        g = dm.GroundSet(("a", "w", "b"))
+        assert [g.element(e) for e in ("b", 0, 2)] == [2, 0, 2]
+        assert g.mask_of(["w", 2]) == 0b110
+
+    @pytest.mark.parametrize("e", ["z", 3, -1, True, 0.0, None])
+    def test_element_rejects_what_names_no_element(self, e):
+        g = dm.GroundSet(("a", "w", "b"))
+        for resolve in (g.element, lambda e: g.mask_of([e])):
+            with pytest.raises(SchemaError):
+                resolve(e)
+
 
 class TestEvaluate:
     def test_table_values(self, sec32):

@@ -120,6 +120,17 @@ class TestFrankWolfe:
         with pytest.raises(ZeroCostCoordinate):
             dm.frank_wolfe(sec32, dm.SolverConfig(iterations=10))
 
+    def test_share_below_binary64_resolution(self):
+        # g({a}) and g({a, b}) round to one float, so b's share of the
+        # identity vertex reads 0.0 though its exact marginal is 10^-20
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(1), F(1))), g=dm.Linear((F(1), F(1, 10**20)))
+        )
+        with pytest.raises(DomainError, match="element b .* below binary64 resolution"):
+            dm.frank_wolfe(inst, dm.SolverConfig(iterations=5))
+        trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5, arithmetic="rational"))
+        assert trace.final_y == (1, F(1, 10**20))
+
     def test_iterates_stay_feasible(self, p3, tri_iso):
         for inst in (p3, tri_iso):
             trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=300, stride=50))
@@ -234,6 +245,11 @@ class TestErrorBounds:
         assert b.objective_gap_upper == F(8 * hessian, 100)
         assert b.absolute_density_upper == math.sqrt(float(absolute))
         assert b.multiplicative_density_upper == math.sqrt(float(multiplicative))
+
+    @pytest.mark.parametrize("kind", [dm.QUADRATIC, dm.ENTROPY_KL, dm.EISENBERG_GALE])
+    def test_bound_beyond_binary64_is_infinite(self, kind):
+        b = dm.error_bounds(self._normalized(F(1, 10**120)), kind, 98)
+        assert b.absolute_density_upper == b.multiplicative_density_upper == math.inf
 
     def test_bounds_vanish_with_iterations(self):
         inst = self._normalized()
