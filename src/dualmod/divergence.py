@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, SchemaError, ZeroCostCoordinate
-from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, check_size, subset_sums
+from .instance import DualModularInstance
 from .permutation import Allocation
 from .rational import parse_rational
 
@@ -149,7 +149,9 @@ def divergence(kind: DivergenceKind, x: Sequence, y: Sequence):
         raise SchemaError("divergence", "x and y must have the same length")
     total = None
     for u, (xu, yu) in enumerate(zip(x, y)):
-        if yu <= 0:
+        if yu < 0:
+            raise DomainError(f"negative cost share y[{u}] = {yu}")
+        if yu == 0:
             raise ZeroCostCoordinate(u)
         if xu < 0:
             raise DomainError(f"negative reward share x[{u}] = {xu}")
@@ -165,30 +167,20 @@ def objective(inst: DualModularInstance, allocation: Allocation, kind: Divergenc
     return divergence(kind, allocation.x, allocation.y)
 
 
-def hockey_stick_sup_form(
-    x: Sequence,
-    y: Sequence,
-    gamma,
-    max_n: Optional[int] = None,
-) -> tuple:
+def hockey_stick_sup_form(x: Sequence, y: Sequence, gamma) -> tuple:
     """max over subsets of x(S) - gamma * y(S), with a maximising subset.
 
-    Equals the coordinate sum form exactly whenever all y_u > 0.  The
-    returned subset is the canonical maximiser {u : x_u - gamma * y_u >= 0},
-    asserted against the enumerated maximum.
+    x(S) - gamma * y(S) sums d_u = x_u - gamma * y_u over S, so the maximum
+    sums the d_u >= 0 and the canonical maximiser {u : d_u >= 0} attains it.
+    Equals the coordinate sum form exactly whenever all y_u > 0.
     """
     if len(x) != len(y):
         raise SchemaError("divergence", "x and y must have the same length")
-    n = len(x)
-    check_size(n, DEFAULT_ENUM_LIMIT, max_n, "hockey_stick_sup_form")
     gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
-    diffs = [xu - gamma * yu for xu, yu in zip(x, y)]
-    sums = subset_sums(diffs, n)
-    best = max(sums)  # the empty set sits at index 0, so best >= 0
-    canonical = 0
-    for u, d in enumerate(diffs):
+    best, canonical = 0, 0
+    for u, (xu, yu) in enumerate(zip(x, y)):
+        d = xu - gamma * yu
         if d >= 0:
+            best += d
             canonical |= 1 << u
-    if sums[canonical] != best:
-        raise DomainError("canonical maximiser does not attain the enumerated maximum")
     return best, canonical

@@ -41,12 +41,6 @@ class ZeroTotal(StructuralError):
         super().__init__(f"{which}(V) must be positive to normalize")
 
 
-class NegativeEta(DualModError):
-    def __init__(self, eta):
-        self.eta = eta
-        super().__init__(f"perturbation amount must be >= 0, got {eta}")
-
-
 class ZeroCostCoordinate(DualModError):
     """A cost share y_u = 0 makes the induced density of u undefined."""
 

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .errors import (
     EmptyResidual,
     GroundSetTooLarge,
-    NegativeEta,
     NotStrictlyMonotone,
     SchemaError,
     StructuralError,
@@ -394,7 +393,7 @@ class Perturbed(SetFunctionSpec):
 
     def __post_init__(self):
         if self.eta < 0:
-            raise NegativeEta(self.eta)
+            raise SchemaError("eta", f"perturbation amount must be >= 0, got {self.eta}")
 
     def value(self, mask: int) -> Fraction:
         return self.base.value(mask) + self.eta * mask.bit_count()
@@ -454,8 +453,8 @@ class Marginal(SetFunctionSpec):
     """base(S' | anchor) on a residual ground set.
 
     ``index_map[i]`` is the position in the original ground set of element i
-    of the residual one.  Used by residual instances only; serialises by
-    materialising its table.
+    of the residual one; with the anchor it covers that ground set.  Used by
+    residual instances only; serialises by materialising its table.
     """
 
     base: SetFunctionSpec
@@ -477,6 +476,13 @@ class Marginal(SetFunctionSpec):
 
     def value(self, mask: int) -> Fraction:
         return self.base.value(self._expand(mask) | self.anchor) - self._anchor_value
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        # one base walk: the anchor's elements first, then order; minus the anchor's prefix
+        anchor = [u for u in range(self.anchor.bit_length()) if self.anchor >> u & 1]
+        values, den = self.base.prefixes(anchor + [self.index_map[u] for u in order])
+        k = len(anchor)
+        return [v - values[k] for v in values[k:]], den
 
     def to_json(self, n: int) -> dict:
         return ExplicitTable(tuple(self.value(m) for m in range(1 << n))).to_json(n)
@@ -862,8 +868,6 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
         return make(*args)
     except SchemaError as exc:
         raise SchemaError(f"{field_name}.{exc.field}", exc.message) from None
-    except NegativeEta as exc:
-        raise SchemaError(f"{field_name}.eta", str(exc)) from None
 
 
 def instance_from_json(obj: dict) -> DualModularInstance:
@@ -899,7 +903,10 @@ def load_instance(path) -> DualModularInstance:
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return instance_from_json(json.load(fh))
         except json.JSONDecodeError as exc:
             raise SchemaError("instance", f"invalid JSON: {exc}") from exc
-    return instance_from_json(obj)
+        except UnicodeDecodeError as exc:
+            raise SchemaError("instance", f"not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise SchemaError("instance", "nested too deeply to read") from None

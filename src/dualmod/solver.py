@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -71,6 +70,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One iteration: the objective at the iterate under three generators, the
+    permutation chosen, and at snapshot rows the densities and allocation.
+
+    ``phi_kl`` and ``phi_eg`` are binary64 values, None where the generator is
+    off its domain (a density <= 0) or where binary64 cannot carry the value
+    or one of its densities or shares.
+    """
+
     k: int
     phi_quadratic: object
     phi_kl: Optional[float]
@@ -233,25 +240,32 @@ class _Memo(dict):
 
 
 def _phi_values(rho, y):
-    """(quadratic, kl, eg) objective values at densities rho = x / y; kl or eg None off-domain."""
+    """(quadratic, kl, eg) objective values at densities rho = x / y; kl or eg as in TraceRow."""
     quad = None
     kl = 0.0
     eg = 0.0
     for t, yu in zip(rho, y):
         q = yu * t * t
         quad = q if quad is None else quad + q
-        ft = float(t)
+        try:
+            ft, fy = float(t), float(yu)
+        except OverflowError:  # a rational beyond the binary64 range
+            kl = eg = None
+            continue
         if ft > 0:
             log_t = math.log(ft)
             if kl is not None:
-                kl += float(yu) * ft * log_t
+                kl += fy * ft * log_t
             if eg is not None:
-                eg -= float(yu) * log_t
+                eg -= fy * log_t
         elif ft == 0:
             eg = None  # -log 0
         else:
             kl = None
             eg = None
+    # a sum that overflowed is not carried either
+    kl = kl if kl is not None and math.isfinite(kl) else None
+    eg = eg if eg is not None and math.isfinite(eg) else None
     return quad, kl, eg
 
 
@@ -275,6 +289,14 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
                     )
         return d
 
+    def densities(x, y) -> list:
+        rho = density_ratios(x, y, labels)
+        # a binary64 quotient beyond the range rounds to inf; the exact density is finite
+        if as_float and not all(map(math.isfinite, rho)):
+            u = next(u for u, t in enumerate(rho) if not math.isfinite(t))
+            raise DomainError(f"density of element {labels[u]} exceeds the binary64 range")
+        return rho
+
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
@@ -285,7 +307,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
     rows = []
     for k in range(cfg.iterations):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
-        rho = density_ratios(x, y, labels)
+        rho = densities(x, y)
         sigma = pick_sigma(x, rho, f, gamma)
         snapshot = k % cfg.stride == 0 or k == cfg.iterations - 1
         quad, kl, eg = _phi_values(rho, y)
@@ -313,7 +335,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
         rows=tuple(rows),
         final_x=tuple(x),
         final_y=tuple(y),
-        final_rho=tuple(density_ratios(x, y, labels)),
+        final_rho=tuple(densities(x, y)),
     )
 
 
@@ -393,7 +415,7 @@ class ErrorBounds:
     curvature_upper: object      # squared diameter (= 4) times hessian_upper
     objective_gap_upper: object  # 2 * curvature_upper / (T + 2)
     absolute_density_upper: float
-    multiplicative_density_upper: Optional[float]
+    multiplicative_density_upper: Optional[float]  # None where f_min = 0: no such bound
     scaling: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -465,15 +487,7 @@ def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> Err
 
     absolute = inf if gap == inf else _sqrt_or_inf(gap / convexity)
 
-    if f_min <= 0:
-        warnings.warn(
-            "f_min = 0: some element has zero worst-case reward share, so the "
-            "multiplicative density bound is unavailable",
-            stacklevel=2,
-        )
-        multiplicative = None
-    else:
-        multiplicative = _sqrt_or_inf(gap / (convexity * f_min**2))
+    multiplicative = _sqrt_or_inf(gap / (convexity * f_min**2)) if f_min > 0 else None
 
     return ErrorBounds(
         kind=kind.name,

@@ -1,0 +1,217 @@
+"""Mutants of the package that the test suite must catch, and their runner.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+Each mutant names a file under ``src/dualmod``, an exact snippet of it, a
+replacement, and the tests that must fail once the snippet is replaced.
+The runner first runs every named test on an unchanged copy of ``src/``,
+where all must pass.  Then, for each mutant, it copies ``src/`` to a
+temporary directory, applies that one replacement and runs only the
+mutant's tests there, in a fresh interpreter.  A mutant is caught when one
+of its tests fails.  A snippet that is not found exactly once, or a test id
+that collects nothing, is an error and not a skip, so a refactor that moves
+the code must move its mutants too.  Exits 1 unless every mutant is caught.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/dualmod
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+SOLVER = "tests/test_solver.py"
+CLI = "tests/test_cli.py"
+
+MUTANTS = [
+    # the local second-difference scan of verify
+    Mutant("verify-skips-adjacent-pairs", "instance.py",
+           "for v in range(u + 1, n):", "for v in range(u + 2, n):",
+           ("tests/test_verify_local.py",)),
+    Mutant("verify-tolerance-one", "instance.py",
+           "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv]:",
+           "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv] + 1:",
+           ("tests/test_verify_local.py",)),
+    # the exact value layer and prefix walks
+    Mutant("perturbed-sizes-off-by-one", "instance.py",
+           "return self._lift(self.base.prefixes(order), range(len(order) + 1))",
+           "return self._lift(self.base.prefixes(order), range(1, len(order) + 2))",
+           ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
+    Mutant("complement-walk-not-reversed", "instance.py",
+           "b, den = self.base.prefixes(order[::-1])", "b, den = self.base.prefixes(order)",
+           ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
+    Mutant("edge-at-earlier-endpoint", "instance.py",
+           "step[a if a > b else b] += w", "step[a if a < b else b] += w",
+           ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
+    Mutant("scaled-drops-denominator", "instance.py",
+           "return [self.factor.numerator * v for v in values], den * self.factor.denominator",
+           "return [self.factor.numerator * v for v in values], den",
+           ("tests/test_value_layer.py::test_table_is_value_over_one_denominator",)),
+    Mutant("membership-sign", "permutation.py",
+           "y_wit = _first_base_violation(gtab, dg, allocation.y, slack, -1)",
+           "y_wit = _first_base_violation(gtab, dg, allocation.y, slack, 1)",
+           ("tests/test_permutation.py::TestMembership",)),
+    Mutant("boolean-endpoint-accepted", "instance.py",
+           "if isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.n:",
+           "if isinstance(e, int) and 0 <= e < self.n:",
+           (f"{CLI}::TestErrorPaths::test_boolean_endpoint",)),
+    # the solver
+    Mutant("memo-keeps-nothing", "solver.py",
+           "self.update(zip(_prefix_masks(order), values))", "pass",
+           ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
+    Mutant("memo-fractions-in-binary64", "solver.py",
+           "self._exact = operator.truediv if as_float else Fraction", "self._exact = Fraction",
+           ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
+    Mutant("greedypp-frank-wolfe-step", "solver.py",
+           'lead = 1 if variant == "greedypp" else 2', "lead = 2",
+           ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
+    Mutant("resolution-check-off", "solver.py",
+           "if as_float and 0.0 in d:", "if False:",
+           (f"{SOLVER}::TestFrankWolfe::test_share_below_binary64_resolution",)),
+    Mutant("kl-convexity-without-half", "solver.py",
+           "convexity = f_min * g_min**2 / 2", "convexity = f_min * g_min**2",
+           (f"{SOLVER}::TestErrorBounds::test_log_kind_constants",)),
+    Mutant("bound-overflow-not-caught", "solver.py",
+           "    except OverflowError:\n        return math.inf", "    except ZeroDivisionError:\n        return math.inf",
+           (f"{SOLVER}::TestErrorBounds::test_bound_beyond_binary64_is_infinite",)),
+    Mutant("csv-without-densities", "solver.py",
+           "row += [float(v) for v in r.rho]", 'row += [""] * len(self.labels)',
+           ("tests/test_golden.py::test_trace_csv_matches_golden",)),
+    # the CLI and the contracts
+    Mutant("structural-clause-dropped", "cli.py",
+           "    except StructuralError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n        return EXIT_STRUCTURAL\n",
+           "",
+           (f"{CLI}::test_error_class_maps_to_exit_code",)),
+    Mutant("principal-without-one-minus-alpha", "contracts.py",
+           "return mask, alpha * fv - inst.g.value(mask), (1 - alpha) * fv",
+           "return mask, alpha * fv - inst.g.value(mask), fv",
+           ("tests/test_contracts.py::TestContractAt",)),
+    # f_min = 0 is reported by value
+    Mutant("multiplicative-bound-at-zero-fmin", "solver.py",
+           "if f_min > 0 else None", "if f_min >= 0 else None",
+           (f"{SOLVER}::TestErrorBounds::test_zero_fmin_suppresses_multiplicative",)),
+    Mutant("zero-fmin-note-dropped", "cli.py",
+           "if bounds.multiplicative_density_upper is None:", "if False:",
+           (f"{CLI}::TestSolve::test_zero_f_min_is_one_note_line",)),
+    # a negative eta is a schema error
+    Mutant("negative-eta-accepted", "instance.py",
+           "if self.eta < 0:", "if self.eta < -1:",
+           ("tests/test_instance.py::TestPerturb::test_negative_eta",)),
+    # the hockey-stick sup form in closed form
+    Mutant("sup-form-drops-zero-differences", "divergence.py",
+           "        if d >= 0:\n            best += d", "        if d > 0:\n            best += d",
+           ("tests/test_divergence.py::test_sup_form_matches_enumeration",)),
+    # densities and objective values beyond binary64
+    Mutant("density-range-check-off", "solver.py",
+           "if as_float and not all(map(math.isfinite, rho)):", "if False:",
+           (f"{SOLVER}::TestFrankWolfe::test_density_beyond_binary64_range",)),
+    Mutant("rational-overflow-not-caught", "solver.py",
+           "except OverflowError:  # a rational beyond the binary64 range",
+           "except ZeroDivisionError:",
+           (f"{SOLVER}::TestFrankWolfe::test_density_beyond_binary64_range",)),
+    Mutant("log-objective-overflow-kept", "solver.py",
+           "kl = kl if kl is not None and math.isfinite(kl) else None", "pass",
+           (f"{SOLVER}::TestFrankWolfe::test_log_objective_beyond_binary64_range",)),
+    # --initial names its option
+    Mutant("initial-not-checked-whole", "cli.py",
+           "if sorted(order) != list(range(inst.n)):", "if False:",
+           (f"{CLI}::TestSolve::test_initial_permutation_malformed",)),
+    # misreports at the edge
+    Mutant("negative-cost-read-as-zero", "divergence.py",
+           "if yu < 0:", "if yu < -1:",
+           (f"{CLI}::test_malformed_input_names_its_field",)),
+    Mutant("non-utf8-file-uncaught", "instance.py",
+           "except UnicodeDecodeError as exc:", "except KeyError as exc:",
+           (f"{CLI}::test_malformed_input_names_its_field",)),
+    Mutant("deep-nesting-uncaught", "instance.py",
+           "except RecursionError:", "except KeyError:",
+           (f"{CLI}::test_malformed_input_names_its_field",)),
+    Mutant("phi-at-empty-set-unchecked", "instance.py",
+           "if not self.phi or self.phi[0] != 0:", "if not self.phi:",
+           (f"{CLI}::test_malformed_input_names_its_field",)),
+    # Marginal walks through its base
+    Mutant("marginal-minus-empty-prefix", "instance.py",
+           "return [v - values[k] for v in values[k:]], den", "return [v - values[0] for v in values[k:]], den",
+           ("tests/test_instance.py::TestResidual::test_prefixes_match_value",)),
+]
+
+
+def _pytest(src: str, tests, quiet: bool = True) -> int:
+    """Exit code of pytest over ``tests`` in a fresh interpreter that imports dualmod from ``src``."""
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    out = subprocess.DEVNULL if quiet else None
+    return subprocess.run(argv, cwd=REPO, env=env, stdout=out, stderr=out).returncode
+
+
+def _copy_src(dest: str) -> str:
+    src = os.path.join(dest, "src")
+    shutil.copytree(os.path.join(REPO, "src"), src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    # the copy, not an installed dualmod, must be the one imported
+    env = {**os.environ, "PYTHONPATH": src}
+    where = subprocess.run([sys.executable, "-c", "import dualmod; print(dualmod.__file__)"],
+                           env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if not where.startswith(src):
+        sys.exit(f"dualmod imported from {where}, not from the copy {src}")
+    return src
+
+
+def _apply(src: str, m: Mutant) -> None:
+    path = os.path.join(src, "dualmod", m.file)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    found = text.count(m.old)
+    if found != 1:
+        raise LookupError(f"snippet found {found} times in {m.file}, expected once")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(m.old, m.new))
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown or not chosen:
+        print(f"unknown mutants: {', '.join(sorted(unknown)) or '(none chosen)'}", file=sys.stderr)
+        return 1
+    started = time.perf_counter()
+    tests = sorted({t for m in chosen for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        if _pytest(_copy_src(tmp), tests, quiet=False) != 0:
+            print("the named tests must pass on the unchanged source", file=sys.stderr)
+            return 1
+    bad = 0
+    for m in chosen:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = _copy_src(tmp)
+            try:
+                _apply(src, m)
+            except LookupError as exc:
+                status = f"ERROR ({exc})"
+            else:
+                code = _pytest(src, m.tests)
+                # 1: a test failed; 0: all passed; anything else: not collected or not run
+                status = {1: "caught", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
+        bad += status != "caught"
+        print(f"{m.name}: {status}", flush=True)
+    elapsed = time.perf_counter() - started
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants caught in {elapsed:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

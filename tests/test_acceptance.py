@@ -133,7 +133,6 @@ def test_criterion_3_gradient_oracle_optimality():
     )
 
 
-@pytest.mark.filterwarnings("ignore:f_min = 0")
 def test_criterion_4_frank_wolfe_within_bounds():
     started = time.perf_counter()
     for name in ("p3", "tri_iso"):

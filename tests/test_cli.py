@@ -116,7 +116,8 @@ class TestSolve:
         assert by_index == by_label
         assert by_index != run(capsys, "solve", fixture_path("hardness"), "--T", "30")
 
-    @pytest.mark.parametrize("value", ["s1,s2,x,t2", "0,1,two,3", ""])
+    # the last three parse, as labels or as indices, but are no permutation of the four elements
+    @pytest.mark.parametrize("value", ["s1,s2,x,t2", "0,1,two,3", "", "s1,s1,t1,t2", "s1,s2", "0,1,2,3,4"])
     def test_initial_permutation_malformed(self, capsys, value):
         code, out, err = run(capsys, "solve", fixture_path("hardness"), "--initial", value)
         assert (code, out) == (1, "")
@@ -227,6 +228,14 @@ class TestDivergence:
         assert blob["value"] == "1/4"
         assert blob["sup_value"] == "1/4"
         assert blob["argmax"] == [0]
+
+    def test_sup_has_no_size_cap(self, capsys):
+        x = ",".join(["1/2", "1/8"] * 10)
+        code, out, err = run(capsys, "divergence", "--x", x, "--y", ",".join(["1/4"] * 20), "--kind", "hs:1", "--sup")
+        assert (code, err) == (0, "")
+        blob = json.loads(out)
+        assert blob["sup_value"] == blob["value"] == "5/2"
+        assert blob["argmax"] == list(range(0, 20, 2))
 
     def test_quadratic_value(self, capsys):
         code, out, _ = run(capsys, "divergence", "--x", "1,1", "--y", "1,2")
@@ -364,6 +373,54 @@ def test_spec_constructor_error_names_json_path(capsys, tmp_path, field, spec, m
     assert run(capsys, "decompose", bad) == (1, "", f"error: {message}\n")
 
 
+def _instance(**parts) -> bytes:
+    """A two-element instance file, valid but for ``parts``."""
+    return json.dumps({"labels": ["a", "b"], "f": EDGE, "g": LINEAR, **parts}).encode()
+
+
+def _nested(depth: int) -> bytes:
+    """A reward under ``depth`` scaled wrappers, written out by hand: json.dumps would recurse as deep."""
+    spec = '{"kind": "scaled", "factor": 1, "base": ' * depth + json.dumps(EDGE) + "}" * depth
+    return b'{"labels": ["a", "b"], "g": %s, "f": %s}' % (json.dumps(LINEAR).encode(), spec.encode())
+
+
+# malformed input, each reaching one raise of the loader, a constructor or the CLI:
+# (id, instance file or None, command with "{path}" for the file, exit code, stderr prefix)
+MALFORMED = [
+    ("spec-not-object", _instance(f=[1]), None, 1, "f: "),
+    ("table-values-not-object", _instance(f={"kind": "explicit_table", "values": [0, 1, 1, 2]}), None, 1, "f.values: "),
+    ("table-size", _instance(f={"kind": "explicit_table", "values": {"0": 0, "1": 1}}), None, 1, "f.values: "),
+    ("table-mask-not-integer", _instance(f={"kind": "explicit_table", "values": {"0": 0, "1": 1, "2": 1, "x": 2}}), None, 1, "f.values: "),
+    ("table-mask-out-of-range", _instance(f={"kind": "explicit_table", "values": {"0": 0, "1": 1, "2": 1, "4": 2}}), None, 1, "f.values: "),
+    ("edge-not-a-triple", _instance(f={"kind": "edges_inside", "edges": [[0, 1]]}), None, 1, "f.edges[0]: "),
+    ("weights-count", _instance(g={"kind": "linear", "weights": [1]}), None, 1, "g.weights: "),
+    ("phi-count", _instance(g={"kind": "concave_of_cardinality", "phi": [0, 1]}), None, 1, "g.phi: "),
+    ("phi-at-empty-set", _instance(g={"kind": "concave_of_cardinality", "phi": [1, 2, 3]}), None, 1, "g.phi: phi(0) must be 0"),
+    ("phi-negative", _instance(g={"kind": "concave_of_cardinality", "phi": [0, -1, -2]}), None, 1, "g.phi: negative value -1"),
+    ("top-level-not-object", b"[1, 2]", None, 1, "instance: "),
+    ("labels-not-strings", _instance(labels=["a", 2]), None, 1, "labels: "),
+    ("reward-missing", json.dumps({"labels": ["a", "b"], "g": LINEAR}).encode(), None, 1, "f: "),
+    ("normalized-not-boolean", _instance(normalized="yes"), None, 1, "normalized: "),
+    ("invalid-json", b'{"labels": ', None, 1, "instance: invalid JSON"),
+    ("not-utf8", b"\xff{}", None, 1, "instance: not UTF-8 text"),
+    ("nested-too-deeply", _nested(2000), None, 1, "instance: nested too deeply"),
+    ("zero-cost-total", _instance(g={"kind": "linear", "weights": [0, 0]}), None, 2, "g(V) must be positive"),
+    ("sup-without-hockey-stick", None, ["divergence", "--x", "1,1", "--y", "1,1", "--sup"], 1, "sup: "),
+    ("negative-cost-share", None, ["divergence", "--x", "1,1", "--y=-1,1"], 3, "negative cost share y[0] = -1"),
+]
+
+
+@pytest.mark.parametrize("content,argv,code,prefix", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_input_names_its_field(capsys, tmp_path, content, argv, code, prefix):
+    path = tmp_path / "inst.json"
+    if content is not None:
+        path.write_bytes(content)
+    got, out, err = run(capsys, *[a.format(path=path) for a in argv or ["decompose", "{path}"]])
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {prefix}")
+    assert "Traceback" not in err
+
+
 # valid instances beyond binary64 range or resolution, and edge endpoints that
 # name no element: (id, f, g, extra solve options, exit code, text in the output)
 LIN = {"kind": "linear", "weights": [1, 1]}
@@ -374,6 +431,8 @@ INPUT_CASES = [
     ("g-below-resolution", LIN, {"kind": "linear", "weights": [1, "1/100000000000000000000"]}, [], 3,
      "error: g: cost share of element b is 1/100000000000000000000, below binary64 resolution"),
     ("g-below-underflow", LIN, {"kind": "linear", "weights": ["1e-400", 1]}, [], 3, "element a is 1/1" + "0" * 400 + ", below binary64"),
+    ("density-beyond-range", {"kind": "linear", "weights": ["1e300", 1]}, {"kind": "linear", "weights": ["1e-10", 1]}, [], 3,
+     "error: density of element a exceeds the binary64 range"),
     ("bound-beyond-range", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, [], 0, '"absolute_density_upper": Infinity'),
     ("bound-beyond-range-kl", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "kl"], 0, '"multiplicative_density_upper": Infinity'),
     ("bound-beyond-range-eg", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "eg"], 0, '"absolute_density_upper": Infinity'),
@@ -403,7 +462,6 @@ EXIT_CODES = [
     (errors.NotStrictlyMonotone("g", (0, 1)), 2),
     (errors.ZeroTotal("f"), 2),
     (errors.DualModError("unclassified"), 3),
-    (errors.NegativeEta(-1), 3),
     (errors.ZeroCostCoordinate(0, "a"), 3),
     (errors.DomainError("-log t undefined"), 3),
     (errors.InfiniteDensity(3), 3),

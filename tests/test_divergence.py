@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dualmod as dm
 from dualmod.errors import DomainError, SchemaError, ZeroCostCoordinate
@@ -71,6 +72,31 @@ class TestSupForm:
                 assert sum_form == sup_form
                 checked += 1
         assert checked >= 200
+
+
+def enumerated_sup(x, y, gamma):
+    """Oracle: x(S) - gamma * y(S) on all 2^n subsets; the maximum and every mask attaining it."""
+    values = [F(0)]
+    for u, (xu, yu) in enumerate(zip(x, y)):
+        values += [v + xu - gamma * yu for v in values]  # the masks that hold u, after those below 1 << u
+    best = max(values)
+    return best, [mask for mask, v in enumerate(values) if v == best]
+
+
+small_fractions = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(*[st.tuples(small_fractions, small_fractions)] * n)), small_fractions)
+@example(((F(1), F(1)), (F(1, 2), F(1)), (F(2), F(1))), F(1))  # a zero difference in the middle
+def test_sup_form_matches_enumeration(pairs, gamma):
+    x, y = [p[0] for p in pairs], [p[1] for p in pairs]
+    value, mask = dm.hockey_stick_sup_form(x, y, gamma)
+    best, maximisers = enumerated_sup(x, y, gamma)
+    assert value == best
+    assert mask in maximisers
+    # the canonical maximiser is the largest one: every other lies inside it
+    assert all(m | mask == mask for m in maximisers)
 
 
 class TestObjective:

@@ -6,7 +6,6 @@ import pytest
 
 import dualmod as dm
 from dualmod.errors import (
-    NegativeEta,
     NotStrictlyMonotone,
     SchemaError,
     StructuralError,
@@ -247,7 +246,6 @@ SIZE_GATES = [
         lambda n, cap: dm.check_base_membership(_ones_instance(n), dm.Allocation((F(1),) * n, (F(1),) * n), cap),
     ),
     ("best_response_bruteforce", dm.instance.DEFAULT_ENUM_LIMIT, lambda n, cap: dm.best_response_bruteforce(_ones_instance(n), F(1, 2), cap)),
-    ("hockey_stick_sup_form", dm.instance.DEFAULT_ENUM_LIMIT, lambda n, cap: dm.hockey_stick_sup_form([F(1)] * n, [F(1)] * n, 1, cap)),
 ]
 
 
@@ -288,8 +286,10 @@ class TestPerturb:
         assert report.g_strictly_monotone and report.dual_modular
 
     def test_negative_eta(self, sec32):
-        with pytest.raises(NegativeEta):
+        # a schema error naming the field, as a negative scale factor is
+        with pytest.raises(SchemaError) as exc:
             dm.perturb_strict(sec32.g, F(-1, 10))
+        assert str(exc.value) == "eta: perturbation amount must be >= 0, got -1/10"
 
 
 class TestComplement:
@@ -495,6 +495,42 @@ class TestResidual:
         monkeypatch.setattr(dm.EdgesInside, "value", lambda self, mask: calls.append(mask) or value(self, mask))
         assert res.f.table(4) == ([0, 9, 10, 19, 11, 20, 21, 30, 12, 21, 22, 31, 23, 32, 33, 42], 1)
         assert len(calls) == 16 + 1
+
+    def test_prefixes_walk_the_base_once(self, monkeypatch):
+        # the same depth-8 view: one walk of the original spec, and no value call
+        n = 12
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+            f=dm.EdgesInside(tuple((u, u, F(u + 1)) for u in range(n))),
+            g=dm.Linear((F(1),) * n),
+        )
+        res = inst
+        for _ in range(8):
+            res = dm.residual_instance(res, 1)
+        calls = []
+        for name in ("value", "prefixes"):
+            method = getattr(dm.EdgesInside, name)
+            monkeypatch.setattr(dm.EdgesInside, name, lambda self, arg, m=method, name=name: calls.append(name) or m(self, arg))
+        # v11, v9, v8, v10 carry loops of 12, 10, 9 and 11
+        assert res.f.prefixes((3, 1, 0, 2)) == ([0, 12, 22, 31, 42], 1)
+        assert calls == ["prefixes"]
+
+    def test_prefixes_match_value(self):
+        # flat views and views nested by hand, over residuals of residuals
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            inst = random_instance(rng, int(rng.integers(2, 7)))
+            res, f, g = inst, inst.f, inst.g
+            while res.n > 1:
+                mask = int(rng.integers(1, res.ground.full_mask))
+                keep = tuple(i for i in range(res.n) if not mask >> i & 1)
+                f, g = dm.Marginal(f, mask, keep), dm.Marginal(g, mask, keep)
+                res = dm.residual_instance(res, mask)
+                order = [int(u) for u in rng.permutation(res.n)]
+                prefix_masks = [sum(1 << u for u in order[:i]) for i in range(res.n + 1)]
+                for spec in (res.f, res.g, f, g):
+                    values, den = spec.prefixes(order)
+                    assert [F(v, den) for v in values] == [spec.value(m) for m in prefix_masks]
 
     def test_residual_chains_match_nested_marginals(self):
         # the nested definition: each peel wraps the previous residual's spec

@@ -131,6 +131,29 @@ class TestFrankWolfe:
         trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5, arithmetic="rational"))
         assert trace.final_y == (1, F(1, 10**20))
 
+    @pytest.mark.parametrize("variant", ["fw", "greedypp"])
+    def test_density_beyond_binary64_range(self, variant):
+        # a's density is 10^310: binary64 refuses it, rational mode carries it
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300), F(1))), g=dm.Linear((F(1, 10**10), F(1)))
+        )
+        with pytest.raises(DomainError, match="density of element a exceeds the binary64 range"):
+            dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant))
+        trace = dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant, arithmetic="rational"))
+        assert trace.final_rho == dm.density_decomposition(inst).rho_star == (10**310, 1)
+        # exact objective values survive; binary64 cannot carry the logarithmic ones
+        assert trace.rows[-1].phi_quadratic == 10**610 + 1  # y_a rho_a^2 + y_b rho_b^2
+        assert {(r.phi_kl, r.phi_eg) for r in trace.rows} == {(None, None)}
+
+    def test_log_objective_beyond_binary64_range(self):
+        # every density is a float, but sum x log(x / y) is not
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**307), F(10**300))), g=dm.Linear((F(1), F(1)))
+        )
+        row = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5)).rows[-1]
+        assert row.phi_kl is None
+        assert row.phi_eg == pytest.approx(-607 * math.log(10))
+
     def test_iterates_stay_feasible(self, p3, tri_iso):
         for inst in (p3, tri_iso):
             trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=300, stride=50))
@@ -278,11 +301,10 @@ class TestErrorBounds:
             assert math.isfinite(b.absolute_density_upper)
             assert math.isfinite(b.multiplicative_density_upper)
 
-    def test_zero_fmin_warns_and_suppresses_multiplicative(self, p3):
-        norm = dm.normalize(p3)
-        with pytest.warns(UserWarning):
-            b = dm.error_bounds(norm, dm.QUADRATIC, 100)
+    def test_zero_fmin_suppresses_multiplicative(self, p3, recwarn):
+        b = dm.error_bounds(dm.normalize(p3), dm.QUADRATIC, 100)
         assert b.multiplicative_density_upper is None
+        assert len(recwarn) == 0  # reported by value alone
         assert math.isfinite(b.absolute_density_upper)
 
     def test_hockey_stick_rejected(self):
@@ -308,7 +330,6 @@ class TestErrorBounds:
                     assert float(phi) - float(opt) <= float(b.objective_gap_upper)
                     assert l2(trace.final_rho, dec.rho_star) <= b.absolute_density_upper
 
-    @pytest.mark.filterwarnings("ignore:f_min = 0")
     def test_gap_dominates_on_fixtures(self, p3, tri_iso):
         for inst in (p3, tri_iso):
             norm = dm.normalize(inst)
