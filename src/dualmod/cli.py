@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -19,7 +20,7 @@ from functools import cache
 from .contracts import analyze_contracts, contract_at, contract_row
 from .decomposition import density_decomposition
 from .divergence import HockeyStick, divergence, hockey_stick_sup_form, kind_from_string
-from .errors import DualModError, GroundSetTooLarge, SchemaError, StructuralError
+from .errors import DomainError, DualModError, GroundSetTooLarge, SchemaError, StructuralError
 from .instance import (
     complement_instance,
     instance_to_json,
@@ -80,6 +81,9 @@ def _cmd_solve(args) -> int:
         stride=args.stride,
     )
     trace = solve(inst, cfg)
+    phi = float(divergence(kind, trace.final_x, trace.final_y))
+    if not math.isfinite(phi):
+        raise DomainError("objective exceeds the binary64 range")
     if args.trace:
         trace.to_csv(args.trace)
 
@@ -90,7 +94,7 @@ def _cmd_solve(args) -> int:
         "final_rho": {
             lab: float(v) for lab, v in zip(inst.ground.labels, trace.final_rho)
         },
-        "phi": float(divergence(kind, trace.final_x, trace.final_y)),
+        "phi": phi,
     }
     # the convergence constants assume f(V) = g(V) = 1, so they are reported
     # for the normalized companion instance

@@ -8,19 +8,16 @@ marginal restriction).  Structural properties -- supermodularity of the
 reward, submodularity and strict monotonicity of the cost -- are *checked
 on every second difference and every one-element step*, never assumed.
 
-Values are exact rationals (`fractions.Fraction`), and every table of all
-2^n values is a list of Python ints over one positive denominator, read as
-is by verification, decomposition, membership, contracts and `extremes`.
-The n + 1 prefixes of one order come the same way, from a walk of O(m + n)
-integer operations for the structured kinds; the solver and the
-permutation vertices read those.  Edge and linear ``value`` sums the same
-cleared integers into one Fraction.  Nothing here ever rounds.
+Values are exact rationals (`fractions.Fraction`).  Each spec also gives
+them as Python ints over its one positive denominator: a table of all 2^n
+values, read by verification, decomposition, membership, contracts and
+`extremes`, and the n + 1 prefixes of one order, read by the solver and the
+permutation vertices.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
 from functools import cached_property
@@ -43,20 +40,10 @@ DEFAULT_ENUM_LIMIT = 16
 
 
 def check_size(n: int, default: int, max_n: Optional[int], what: str) -> None:
-    """Refuse a ground set above the brute-force cap of ``what``.
-
-    The cap is ``max_n`` when given, else DUALMOD_BRUTE_LIMIT when set, else
-    ``default``; a negative or malformed cap is a schema error.
-    """
-    name, limit = "max_n", max_n
-    if max_n is None:
-        name, limit = "DUALMOD_BRUTE_LIMIT", os.environ.get("DUALMOD_BRUTE_LIMIT", default)
-        try:
-            limit = int(limit)
-        except ValueError:
-            raise SchemaError(name, f"expected an integer, got {limit!r}") from None
+    """Refuse a ground set above ``max_n``, or above ``default`` when it is None; a negative cap is a schema error."""
+    limit = default if max_n is None else max_n
     if limit < 0:
-        raise SchemaError(name, f"must be >= 0, got {limit}")
+        raise SchemaError("max_n", f"must be >= 0, got {limit}")
     if n > limit:
         raise GroundSetTooLarge(n, limit, what)
 
@@ -131,10 +118,10 @@ class GroundSet:
 # ---------------------------------------------------------------------------
 
 
-def _over_common_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_common_den(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(ints, den) with ints[i] == values[i] * den; den is the lcm of the denominators."""
     den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _prefix_masks(order: Sequence[int]) -> list[int]:
@@ -148,29 +135,20 @@ def _prefix_masks(order: Sequence[int]) -> list[int]:
 class SetFunctionSpec:
     """Base of every set-function representation.
 
-    Subclasses implement ``value(mask)`` returning the exact rational value
-    of the encoded subset.  ``table(n)`` materialises all 2^n values as
-    integers over one denominator: ``(values, den)`` with
-    ``values[mask] == value(mask) * den``.  ``prefixes(order)`` does the
-    same for the n + 1 prefixes of an order of all n elements: ``values[i]``
-    is ``value`` of the first i elements of ``order``, times ``den``.  The
-    generic implementations clear the denominators of ``value`` on every
-    mask they return, which also serves ``ExplicitTable`` walks; structured
-    kinds clear those of their inputs once per spec and run an integer
-    recurrence, O(m + n) integer operations per walk for m edges; edge and
-    linear ``value`` sums the same cleared integers into one ``Fraction``.
-    ``check(n)`` raises :class:`SchemaError` unless the spec fits a ground
-    set of n elements; instances call it at construction.
+    Subclasses implement ``value(mask)``, the exact rational value of the
+    encoded subset, and ``table(n)``: all 2^n values as ``(values, den)``,
+    integers over one denominator with ``values[mask] == value(mask) * den``.
+    ``prefixes(order)`` does the same for the n + 1 prefixes of an order of
+    all n elements: ``values[i]`` is ``value`` of the first i elements of
+    ``order``, times ``den``.  Each spec clears its inputs' denominators
+    once, so its table and every walk share one ``den`` and their integers
+    compare across walks.  Structured kinds walk in O(m + n) integer
+    operations for m edges.  ``check(n)`` raises :class:`SchemaError` unless
+    the spec fits a ground set of n elements; instances call it.
     """
 
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
-
-    def table(self, n: int) -> tuple[list[int], int]:
-        return _over_common_den([self.value(s) for s in range(1 << n)])
-
-    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
-        return _over_common_den([self.value(s) for s in _prefix_masks(order)])
 
     def check(self, n: int) -> None:
         pass
@@ -198,8 +176,17 @@ class ExplicitTable(SetFunctionSpec):
             raise SchemaError("values", f"mask {mask} out of table range {len(self.values)}")
         return self.values[mask]
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    @cached_property
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.values)
+
+    def table(self, n: int) -> tuple[list[int], int]:
+        values, den = self._cleared
+        return list(values), den
+
+    def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
+        values, den = self._cleared
+        return [values[m] for m in _prefix_masks(order)], den
 
     def check(self, n: int) -> None:
         if len(self.values) != (1 << n):
@@ -296,7 +283,7 @@ class Linear(SetFunctionSpec):
         return Fraction(total, den)
 
     @cached_property
-    def _cleared(self) -> tuple[list[int], int]:
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.weights)
 
     def table(self, n: int) -> tuple[list[int], int]:
@@ -336,7 +323,7 @@ class ConcaveOfCardinality(SetFunctionSpec):
         return self.phi[mask.bit_count()]
 
     @cached_property
-    def _cleared(self) -> tuple[list[int], int]:
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.phi)
 
     def table(self, n: int) -> tuple[list[int], int]:
@@ -345,7 +332,7 @@ class ConcaveOfCardinality(SetFunctionSpec):
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         phi, den = self._cleared
-        return phi[: len(order) + 1], den
+        return list(phi[: len(order) + 1]), den
 
     def check(self, n: int) -> None:
         if len(self.phi) != n + 1:
@@ -484,8 +471,17 @@ class Marginal(SetFunctionSpec):
         k = len(anchor)
         return [v - values[k] for v in values[k:]], den
 
+    def table(self, n: int) -> tuple[list[int], int]:
+        base, den = self.base.table(n + self.anchor.bit_count())
+        masks = [self.anchor]  # masks[mask] = anchor | the base positions of mask
+        for u in self.index_map:
+            masks += [m | 1 << u for m in masks]
+        a = base[self.anchor]
+        return [base[m] - a for m in masks], den
+
     def to_json(self, n: int) -> dict:
-        return ExplicitTable(tuple(self.value(m) for m in range(1 << n))).to_json(n)
+        values, den = self.table(n)
+        return ExplicitTable(tuple(Fraction(v, den) for v in values)).to_json(n)
 
 
 def evaluate(spec: SetFunctionSpec, mask: int) -> Fraction:

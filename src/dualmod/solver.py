@@ -73,9 +73,11 @@ class TraceRow:
     """One iteration: the objective at the iterate under three generators, the
     permutation chosen, and at snapshot rows the densities and allocation.
 
-    ``phi_kl`` and ``phi_eg`` are binary64 values, None where the generator is
-    off its domain (a density <= 0) or where binary64 cannot carry the value
-    or one of its densities or shares.
+    ``phi_quadratic`` is exact in rational mode, and in binary64 None where
+    the sum exceeds the binary64 range.  ``phi_kl`` and ``phi_eg`` are
+    binary64 values, None where the generator is off its domain (a density
+    <= 0) or where binary64 cannot carry the value or one of its densities
+    or shares.
     """
 
     k: int
@@ -127,18 +129,13 @@ class SolverTrace:
             writer = csv.writer(fh)
             writer.writerow(header)
             for r in self.rows:
-                row = [r.k]
-                for v in (r.phi_quadratic, r.phi_kl, r.phi_eg):
-                    row.append("" if v is None else float(v))
-                if r.rho is None:
-                    row += [""] * len(self.labels)
-                else:
-                    row += [float(v) for v in r.rho]
-                writer.writerow(row)
+                # one rule with to_json: "p/q" for a Fraction, a float, or None (an empty field)
+                rho = [None] * len(self.labels) if r.rho is None else r.rho
+                writer.writerow([r.k, *map(_num, (r.phi_quadratic, r.phi_kl, r.phi_eg, *rho))])
 
 
 def _num(v):
-    """JSON form of a trace or bound value: "p/q" for a Fraction, else a float or None."""
+    """Export form of a trace or bound value: "p/q" for a Fraction, else a float or None."""
     if v is None:
         return None
     if isinstance(v, Fraction):
@@ -185,6 +182,11 @@ def partial_derivative(
 # ---------------------------------------------------------------------------
 
 
+# the bounds of _Memo's resolution gate (see its docstring)
+_INT_BOUND = 2**52
+_DEN_BOUND = 2**1022
+
+
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
@@ -196,14 +198,24 @@ class _Memo(dict):
     binary64 range raises :class:`DomainError`); in rational mode as a
     ``Fraction``.  A Frank-Wolfe step visits n + 1 prefixes and a Greedy++
     step at most n^2 masks, so T steps hold at most min(2^n, T n^2) values.
+
+    Two distinct values that round to one float give a share of 0 over a
+    nonzero exact marginal, and ``vertex`` raises :class:`DomainError` on
+    such a share.  Every value is an integer over the spec's one
+    denominator, and two distinct integers below 2^52 in magnitude over a
+    denominator of at most 2^1022 round to distinct floats, so that share
+    is looked for only once a stored value is outside those bounds.
     """
 
-    def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str):
+    def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str, labels: Sequence[str]):
         super().__init__()
         self._spec = spec
         self._name = name
+        self._labels = labels
         # int / int rounds correctly, as float(Fraction) does
         self._exact = operator.truediv if as_float else Fraction
+        self._as_float = as_float
+        self._unresolved = False  # binary64: some stored value is outside the bounds above
 
     def vertex(self, sigma: Permutation) -> list:
         get = self.get  # no __missing__: an unstored prefix reads None
@@ -219,24 +231,41 @@ class _Memo(dict):
                 return self._walk(sigma.order)
             out[u] = cur - prev
             prev = cur
-        return out
+        return self._checked(sigma.order, out) if self._unresolved else out
 
     def _walk(self, order) -> list:
         ints, den = self._spec.prefixes(order)
-        values = self._convert(ints, den)
-        self.update(zip(_prefix_masks(order), values))
-        return marginals(order, values)
+        return self._checked(order, marginals(order, self._store(_prefix_masks(order), ints, den)))
 
     def __missing__(self, mask: int):
         v = self._spec.value(mask)
-        self[mask] = v = self._convert([v.numerator], v.denominator)[0]
-        return v
+        # over the walks' denominator: a run walks its first order before any removal query
+        return self._store([mask], [v.numerator * (self._den // v.denominator)], self._den)[0]
 
-    def _convert(self, ints, den) -> list:
+    def _store(self, masks, ints, den) -> list:
         try:
-            return [self._exact(v, den) for v in ints]
+            values = [self._exact(v, den) for v in ints]
         except OverflowError:
             raise DomainError(f"{self._name}: a value exceeds the binary64 range") from None
+        self.update(zip(masks, values))
+        self._den = den
+        if self._as_float and not self._unresolved:
+            self._unresolved = den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
+        return values
+
+    def _checked(self, order, c) -> list:
+        """The vertex c of order, unless one of its shares is 0 over a nonzero exact marginal."""
+        if self._unresolved and 0.0 in c:
+            ints, den = self._spec.prefixes(order)
+            role = "reward" if self._name == "f" else "cost"
+            for u, exact in enumerate(marginals(order, ints)):
+                if c[u] == 0 and exact != 0:
+                    raise DomainError(
+                        f"{self._name}: {role} share of element {self._labels[u]} is "
+                        f"{format_rational(Fraction(exact, den))}, below binary64 resolution "
+                        f"at the values of {self._name} around it, so it rounds to 0"
+                    )
+        return c
 
 
 def _phi_values(rho, y):
@@ -263,7 +292,8 @@ def _phi_values(rho, y):
         else:
             kl = None
             eg = None
-    # a sum that overflowed is not carried either
+    # a binary64 sum that overflowed is not carried either
+    quad = None if isinstance(quad, float) and not math.isfinite(quad) else quad
     kl = kl if kl is not None and math.isfinite(kl) else None
     eg = eg if eg is not None and math.isfinite(eg) else None
     return quad, kl, eg
@@ -271,23 +301,9 @@ def _phi_values(rho, y):
 
 def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma) -> SolverTrace:
     as_float = cfg.arithmetic == "binary64"
-    f = _Memo(inst.f, as_float, "f")
-    g = _Memo(inst.g, as_float, "g")
     labels = inst.ground.labels
-
-    def cost_vertex(sigma: Permutation) -> list:
-        d = g.vertex(sigma)
-        # a binary64 share of 0 over a positive exact marginal is below the
-        # float resolution; an exact 0 is density_ratios' ZeroCostCoordinate
-        if as_float and 0.0 in d:
-            ints, den = inst.g.prefixes(sigma.order)
-            for u, exact in enumerate(marginals(sigma.order, ints)):
-                if d[u] == 0 and exact != 0:
-                    raise DomainError(
-                        f"g: cost share of element {labels[u]} is {format_rational(Fraction(exact, den))}, "
-                        "below binary64 resolution at the values of g around it, so it rounds to 0"
-                    )
-        return d
+    f = _Memo(inst.f, as_float, "f", labels)
+    g = _Memo(inst.g, as_float, "g", labels)
 
     def densities(x, y) -> list:
         rho = density_ratios(x, y, labels)
@@ -300,7 +316,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = f.vertex(sigma0), cost_vertex(sigma0)
+    x, y = f.vertex(sigma0), g.vertex(sigma0)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
     lead = 1 if variant == "greedypp" else 2
 
@@ -322,7 +338,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
                 allocation=(tuple(x), tuple(y)) if snapshot else None,
             )
         )
-        c, d = f.vertex(sigma), cost_vertex(sigma)
+        c, d = f.vertex(sigma), g.vertex(sigma)
         keep = 1 - gamma
         x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
         y = [keep * yu + gamma * du for yu, du in zip(y, d)]

@@ -72,7 +72,7 @@ MUTANTS = [
            (f"{CLI}::TestErrorPaths::test_boolean_endpoint",)),
     # the solver
     Mutant("memo-keeps-nothing", "solver.py",
-           "self.update(zip(_prefix_masks(order), values))", "pass",
+           "self.update(zip(masks, values))", "pass",
            ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
     Mutant("memo-fractions-in-binary64", "solver.py",
            "self._exact = operator.truediv if as_float else Fraction", "self._exact = Fraction",
@@ -81,8 +81,9 @@ MUTANTS = [
            'lead = 1 if variant == "greedypp" else 2', "lead = 2",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
     Mutant("resolution-check-off", "solver.py",
-           "if as_float and 0.0 in d:", "if False:",
-           (f"{SOLVER}::TestFrankWolfe::test_share_below_binary64_resolution",)),
+           "if self._unresolved and 0.0 in c:", "if False:",
+           (f"{SOLVER}::TestFrankWolfe::test_share_below_binary64_resolution",
+            f"{SOLVER}::TestFrankWolfe::test_reward_share_below_binary64_resolution")),
     Mutant("kl-convexity-without-half", "solver.py",
            "convexity = f_min * g_min**2 / 2", "convexity = f_min * g_min**2",
            (f"{SOLVER}::TestErrorBounds::test_log_kind_constants",)),
@@ -90,7 +91,7 @@ MUTANTS = [
            "    except OverflowError:\n        return math.inf", "    except ZeroDivisionError:\n        return math.inf",
            (f"{SOLVER}::TestErrorBounds::test_bound_beyond_binary64_is_infinite",)),
     Mutant("csv-without-densities", "solver.py",
-           "row += [float(v) for v in r.rho]", 'row += [""] * len(self.labels)',
+           "rho = [None] * len(self.labels) if r.rho is None else r.rho", "rho = [None] * len(self.labels)",
            ("tests/test_golden.py::test_trace_csv_matches_golden",)),
     # the CLI and the contracts
     Mutant("structural-clause-dropped", "cli.py",
@@ -148,6 +149,39 @@ MUTANTS = [
     Mutant("marginal-minus-empty-prefix", "instance.py",
            "return [v - values[k] for v in values[k:]], den", "return [v - values[0] for v in values[k:]], den",
            ("tests/test_instance.py::TestResidual::test_prefixes_match_value",)),
+    # one denominator per spec: explicit tables walk their cleared cache, and
+    # a marginal table indexes its base's table
+    Mutant("explicit-walk-in-mask-order", "instance.py",
+           "return [values[m] for m in _prefix_masks(order)], den",
+           "return [values[m] for m in _prefix_masks(sorted(order))], den",
+           ("tests/test_value_layer.py::test_table_and_walks_share_one_denominator",)),
+    Mutant("marginal-table-without-anchor", "instance.py",
+           "masks = [self.anchor]  #", "masks = [0]  #",
+           ("tests/test_value_layer.py::test_table_is_value_over_one_denominator",
+            "tests/test_instance.py::TestResidual::test_residual_of_residual_is_one_view")),
+    # one share rule for f and g, and its gate
+    Mutant("share-gate-ignores-underflow", "solver.py",
+           "self._unresolved = den > _DEN_BOUND or max(ints)", "self._unresolved = max(ints)",
+           (f"{SOLVER}::TestFrankWolfe::test_shares_that_underflow_together",)),
+    Mutant("share-gate-ignores-negative-values", "solver.py",
+           " or min(ints) <= -_INT_BOUND", "",
+           (f"{SOLVER}::TestFrankWolfe::test_share_below_resolution_of_negative_values",)),
+    Mutant("share-gate-always-open", "solver.py",
+           "max(ints) >= _INT_BOUND", "max(ints) >= 0",
+           ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
+    Mutant("share-rule-for-g-only", "solver.py",
+           "if self._unresolved and 0.0 in c:", 'if self._unresolved and 0.0 in c and self._name == "g":',
+           (f"{SOLVER}::TestFrankWolfe::test_reward_share_below_binary64_resolution",)),
+    # one value rule for trace exports, and the objective's range
+    Mutant("csv-values-as-floats", "solver.py",
+           "*map(_num, (r.phi_quadratic", "*map(lambda v: v if v is None else float(v), (r.phi_quadratic",
+           (f"{SOLVER}::TestTraceExport::test_rational_csv_writes_fractions",)),
+    Mutant("quadratic-objective-overflow-kept", "solver.py",
+           "quad = None if isinstance(quad, float) and not math.isfinite(quad) else quad", "pass",
+           (f"{SOLVER}::TestFrankWolfe::test_objective_beyond_binary64_range",)),
+    Mutant("objective-range-check-off", "cli.py",
+           "if not math.isfinite(phi):", "if False:",
+           (f"{CLI}::test_input_reaches_its_exit_code",)),
 ]
 
 

@@ -261,19 +261,6 @@ class TestErrorPaths:
         assert code == 1
         assert "f.kind" in err
 
-    def test_env_brute_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", "2")
-        code, _, err = run(capsys, "decompose", fixture_path("p3"))
-        assert code == 1
-        assert "n <= 2" in err
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "-3"])
-    def test_env_brute_limit_malformed(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", value)
-        code, _, err = run(capsys, "decompose", fixture_path("p3"))
-        assert code == 1
-        assert "DUALMOD_BRUTE_LIMIT" in err
-
     @pytest.mark.parametrize("command,value", [("verify", "-1"), ("decompose", "-3")])
     def test_negative_max_n(self, capsys, command, value):
         code, _, err = run(capsys, command, fixture_path("p3"), "--max-n", value)
@@ -431,8 +418,16 @@ INPUT_CASES = [
     ("g-below-resolution", LIN, {"kind": "linear", "weights": [1, "1/100000000000000000000"]}, [], 3,
      "error: g: cost share of element b is 1/100000000000000000000, below binary64 resolution"),
     ("g-below-underflow", LIN, {"kind": "linear", "weights": ["1e-400", 1]}, [], 3, "element a is 1/1" + "0" * 400 + ", below binary64"),
-    ("density-beyond-range", {"kind": "linear", "weights": ["1e300", 1]}, {"kind": "linear", "weights": ["1e-10", 1]}, [], 3,
+    ("g-underflow-together", LIN, {"kind": "linear", "weights": ["1/1" + "0" * 400, "2/1" + "0" * 400]}, [], 3,
+     "error: g: cost share of element a is 1/1" + "0" * 400 + ", below binary64"),
+    ("f-below-resolution", {"kind": "linear", "weights": ["1e307", 1]}, LIN, [], 3,
+     "error: f: reward share of element b is 1/1, below binary64 resolution"),
+    ("f-below-resolution-greedypp", {"kind": "linear", "weights": ["1e307", 1]}, LIN, ["--variant", "greedypp"], 3,
+     "error: f: reward share of element b is 1/1, below binary64 resolution"),
+    ("density-beyond-range", {"kind": "linear", "weights": ["1e300", "1e290"]}, {"kind": "linear", "weights": ["1e-10", 1]}, [], 3,
      "error: density of element a exceeds the binary64 range"),
+    ("objective-beyond-range", {"kind": "linear", "weights": ["1e200", "1e190"]}, {"kind": "linear", "weights": ["1e-100", 1]}, [], 3,
+     "error: objective exceeds the binary64 range"),
     ("bound-beyond-range", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, [], 0, '"absolute_density_upper": Infinity'),
     ("bound-beyond-range-kl", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "kl"], 0, '"multiplicative_density_upper": Infinity'),
     ("bound-beyond-range-eg", LIN, {"kind": "linear", "weights": ["1e-120", 1]}, ["--kind", "eg"], 0, '"absolute_density_upper": Infinity'),

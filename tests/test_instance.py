@@ -190,8 +190,7 @@ class TestVerify:
             dm.verify_dual_modularity(sec32, max_n=-1)
         assert exc.value.field == "max_n"
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("DUALMOD_BRUTE_LIMIT", raising=False)
+    def test_default_cap(self):
         n = dm.instance.DEFAULT_VERIFY_LIMIT + 1
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
@@ -249,18 +248,12 @@ SIZE_GATES = [
 ]
 
 
-@pytest.mark.parametrize("source", ["default", "env", "max_n"])
+@pytest.mark.parametrize("source", ["default", "max_n"])
 @pytest.mark.parametrize("what,default,call", SIZE_GATES, ids=[g[0] for g in SIZE_GATES])
-def test_size_cap_one_past_the_limit(monkeypatch, source, what, default, call):
-    # max_n wins over DUALMOD_BRUTE_LIMIT, which wins over the default
-    monkeypatch.delenv("DUALMOD_BRUTE_LIMIT", raising=False)
-    limit, cap = default, None
-    if source == "env":
-        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", "3")
-        limit = 3
-    elif source == "max_n":
-        monkeypatch.setenv("DUALMOD_BRUTE_LIMIT", "100")
-        limit = cap = 3
+def test_size_cap_one_past_the_limit(source, what, default, call):
+    # max_n, when given, replaces the default
+    cap = 3 if source == "max_n" else None
+    limit = default if cap is None else cap
     with pytest.raises(dm.errors.GroundSetTooLarge) as exc:
         call(limit + 1, cap)
     assert str(exc.value) == f"{what} requires n <= {limit}, got n = {limit + 1}"
@@ -477,8 +470,7 @@ class TestResidual:
 
     def test_residual_of_residual_is_one_view(self, monkeypatch):
         # 12 loops, peeled one element at a time: at depth 8 the 16-entry
-        # table costs one base call per entry plus one for the anchor, not
-        # two per nesting level
+        # table indexes one table of the original spec, with no value call
         n = 12
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
@@ -490,11 +482,13 @@ class TestResidual:
             res = dm.residual_instance(res, 1)
         assert res.ground.labels == ("v8", "v9", "v10", "v11")
         assert res.f.base is inst.f and res.f.anchor == 0xFF and res.f.index_map == (8, 9, 10, 11)
+        expected = [res.f.value(m) for m in range(16)]
         calls = []
-        value = dm.EdgesInside.value
-        monkeypatch.setattr(dm.EdgesInside, "value", lambda self, mask: calls.append(mask) or value(self, mask))
-        assert res.f.table(4) == ([0, 9, 10, 19, 11, 20, 21, 30, 12, 21, 22, 31, 23, 32, 33, 42], 1)
-        assert len(calls) == 16 + 1
+        for name in ("value", "table"):
+            method = getattr(dm.EdgesInside, name)
+            monkeypatch.setattr(dm.EdgesInside, name, lambda self, arg, m=method, name=name: calls.append(name) or m(self, arg))
+        assert res.f.table(4) == ([0, 9, 10, 19, 11, 20, 21, 30, 12, 21, 22, 31, 23, 32, 33, 42], 1) == (expected, 1)
+        assert calls == ["table"]
 
     def test_prefixes_walk_the_base_once(self, monkeypatch):
         # the same depth-8 view: one walk of the original spec, and no value call

@@ -132,18 +132,60 @@ class TestFrankWolfe:
         assert trace.final_y == (1, F(1, 10**20))
 
     @pytest.mark.parametrize("variant", ["fw", "greedypp"])
+    @pytest.mark.parametrize(
+        "fa,ga,rho", [(10**307, F(1), (10**307, 1)), (10**300, F(1, 10**10), (10**310, 1))], ids=["e307", "e300"]
+    )
+    def test_reward_share_below_binary64_resolution(self, variant, fa, ga, rho):
+        # f({a}) and f({a, b}) round to one float, so b's reward share reads
+        # 0.0 though its exact marginal is 1
+        f, g = dm.Linear((F(fa), F(1))), dm.Linear((ga, F(1)))
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=f, g=g)
+        with pytest.raises(DomainError, match=r"^f: reward share of element b is 1/1, below binary64 resolution"):
+            dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant))
+        trace = dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant, arithmetic="rational"))
+        assert trace.final_rho == dm.density_decomposition(inst).rho_star == rho
+
+    def test_share_below_resolution_of_negative_values(self):
+        # f = V(S) -> B(V) - B(V - S) over a non-monotone table B walks
+        # 0, -2^60, -2^60 + 1, 1 on the identity order: v1's share of 1 is lost
+        table = (0, 1, 1, 1, 2**60, 1, 2**60 + 1, 1)
+        f = dm.ComplementOf(dm.ExplicitTable(tuple(map(F, table))), 3)
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("v0", "v1", "v2")), f=f, g=dm.Linear((F(1),) * 3))
+        with pytest.raises(DomainError, match=r"^f: reward share of element v1 is 1/1, below binary64 resolution"):
+            dm.frank_wolfe(inst, dm.SolverConfig(iterations=5))
+
+    def test_shares_that_underflow_together(self):
+        # every value of g is below the binary64 range, so both shares read 0.0:
+        # the smallest step over g's denominator is subnormal, which opens the check
+        g = dm.Linear((F(1, 10**400), F(2, 10**400)))
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(1), F(1))), g=g)
+        with pytest.raises(DomainError, match=r"^g: cost share of element a is 1/1(0{400}), below binary64 resolution"):
+            dm.frank_wolfe(inst, dm.SolverConfig(iterations=5))
+
+    @pytest.mark.parametrize("variant", ["fw", "greedypp"])
     def test_density_beyond_binary64_range(self, variant):
         # a's density is 10^310: binary64 refuses it, rational mode carries it
         inst = dm.DualModularInstance(
-            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300), F(1))), g=dm.Linear((F(1, 10**10), F(1)))
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300), F(10**290))), g=dm.Linear((F(1, 10**10), F(1)))
         )
         with pytest.raises(DomainError, match="density of element a exceeds the binary64 range"):
             dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant))
         trace = dm.solve(inst, dm.SolverConfig(iterations=5, variant=variant, arithmetic="rational"))
-        assert trace.final_rho == dm.density_decomposition(inst).rho_star == (10**310, 1)
+        assert trace.final_rho == dm.density_decomposition(inst).rho_star == (10**310, 10**290)
         # exact objective values survive; binary64 cannot carry the logarithmic ones
-        assert trace.rows[-1].phi_quadratic == 10**610 + 1  # y_a rho_a^2 + y_b rho_b^2
+        assert trace.rows[-1].phi_quadratic == 10**610 + 10**580  # y_a rho_a^2 + y_b rho_b^2
         assert {(r.phi_kl, r.phi_eg) for r in trace.rows} == {(None, None)}
+
+    def test_objective_beyond_binary64_range(self):
+        # every density is a float, but y_a rho_a^2 = 10^-100 (10^300)^2 is not
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**200), F(10**190))), g=dm.Linear((F(1, 10**100), F(1)))
+        )
+        trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5))
+        assert all(map(math.isfinite, trace.final_rho))
+        assert {r.phi_quadratic for r in trace.rows} == {None}
+        exact = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5, arithmetic="rational"))
+        assert {r.phi_quadratic for r in exact.rows} == {10**500 + 10**380}
 
     def test_log_objective_beyond_binary64_range(self):
         # every density is a float, but sum x log(x / y) is not
@@ -372,3 +414,17 @@ class TestTraceExport:
         # snapshot rows carry densities, intermediate ones do not
         assert blob["rows"][0]["rho"] is not None
         assert blob["rows"][1]["rho"] is None
+
+    def test_rational_csv_writes_fractions(self, tmp_path):
+        # a's density is 10^310, beyond binary64: the CSV writes p/q, as to_json does
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300), F(10**290))), g=dm.Linear((F(1, 10**10), F(1)))
+        )
+        trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=2, stride=1, arithmetic="rational"))
+        path = os.path.join(tmp_path, "trace.csv")
+        trace.to_csv(path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        row = f"{10**610 + 10**580}/1,,,{10**310}/1,{10**290}/1"
+        assert lines == ["k,phi_quadratic,phi_kl,phi_eg,rho_a,rho_b", f"0,{row}", f"1,{row}"]
+        assert [r["phi_quadratic"] for r in trace.to_json()["rows"]] == [f"{10**610 + 10**580}/1"] * 2

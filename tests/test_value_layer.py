@@ -3,9 +3,10 @@
 ``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``,
 and ``prefixes(order)`` the same for the n + 1 prefixes of one order; every
 consumer reads those integers.  The tests here compare the tables and the
-prefix walks with ``value`` for each spec kind, permutation vertices with a
-walk that calls ``value`` once per prefix, and base-polytope membership
-with the Fraction subset-sum check it replaced.  ``value`` itself reads the
+prefix walks with ``value`` for each spec kind, and with each other over the
+spec's one denominator; permutation vertices with a walk that calls
+``value`` once per prefix; and base-polytope membership with the Fraction
+subset-sum check it replaced.  ``value`` itself reads the
 same cleared integers for edges and linear weights, so it is checked against
 a Fraction sum over the raw inputs.
 """
@@ -136,6 +137,18 @@ def test_prefixes_are_values_over_one_denominator(case, data):
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in values)
     assert values == [spec.value(m) * den for m in prefix_masks(order)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_table_and_walks_share_one_denominator(case, data):
+    # one den per spec: prefix integers of different walks compare as values
+    spec, n = case
+    values, den = spec.table(n)
+    assert values == [spec.value(m) * den for m in range(1 << n)]
+    for _ in range(3):
+        order = tuple(data.draw(st.permutations(range(n))))
+        assert spec.prefixes(order) == ([values[m] for m in prefix_masks(order)], den)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
