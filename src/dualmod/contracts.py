@@ -15,7 +15,7 @@ from typing import Optional
 
 from .decomposition import DensityDecomposition, density_decomposition
 from .divergence import HockeyStick, divergence
-from .errors import AlphaOutOfRange, DualModError, SchemaError
+from .errors import DualModError, SchemaError
 from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, ExplicitTable, GroundSet, Linear, check_size
 from .permutation import Allocation
 from .rational import format_rational
@@ -24,7 +24,7 @@ from .rational import format_rational
 def _check_alpha(alpha) -> Fraction:
     alpha = Fraction(alpha)
     if alpha < 0 or alpha > 1:
-        raise AlphaOutOfRange(alpha)
+        raise SchemaError("alpha", f"must lie in [0, 1], got {alpha}")
     return alpha
 
 

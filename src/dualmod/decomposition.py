@@ -21,6 +21,11 @@ from .instance import DEFAULT_DECOMP_LIMIT, DualModularInstance, GroundSet, chec
 from .rational import format_rational
 
 
+def _rho_star(n: int, parts, densities) -> tuple:
+    """The density of each element's part; the parts are disjoint and cover 0..n-1."""
+    return tuple(r for u in range(n) for p, r in zip(parts, densities) if p >> u & 1)
+
+
 @dataclass(frozen=True)
 class DensityDecomposition:
     """Ordered partition S_1..S_k with strictly decreasing part densities.
@@ -42,6 +47,10 @@ class DensityDecomposition:
             union |= p
         if union != (1 << self.n) - 1:
             raise DecompositionError("parts must cover the ground set")
+        if len(self.densities) != len(self.parts):
+            raise DecompositionError(f"{len(self.parts)} parts need as many densities, got {len(self.densities)}")
+        if tuple(self.rho_star) != _rho_star(self.n, self.parts, self.densities):
+            raise DecompositionError("rho_star must give each element the density of its part")
         for hi, lo in zip(self.densities, self.densities[1:]):
             if not hi > lo:
                 raise DecompositionError(
@@ -140,8 +149,7 @@ def density_decomposition(
 ) -> DensityDecomposition:
     """Peel off maximal densest subsets until the ground set is exhausted."""
     parts, densities = zip(*_peels(inst, max_n))
-    # every element lies in exactly one part
-    rho_star = tuple(r for u in range(inst.n) for p, r in zip(parts, densities) if p >> u & 1)
+    rho_star = _rho_star(inst.n, parts, densities)
     return DensityDecomposition(n=inst.n, parts=parts, densities=densities, rho_star=rho_star)
 
 

@@ -76,12 +76,6 @@ class DecompositionError(DualModError):
     """Internal consistency assertion of the decomposition failed."""
 
 
-class AlphaOutOfRange(DualModError):
-    def __init__(self, alpha):
-        self.alpha = alpha
-        super().__init__(f"contract parameter must lie in [0, 1], got {alpha}")
-
-
 class NotLinearCost(DualModError):
     def __init__(self):
         super().__init__("this solver variant requires a linear cost function")

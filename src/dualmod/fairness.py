@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decomposition import DensityDecomposition
-from .errors import SchemaError
+from .errors import DecompositionError, SchemaError
 from .instance import DualModularInstance
 from .permutation import Allocation, induced_densities
 
@@ -34,6 +34,8 @@ class MaximinReport:
 
 def is_locally_maximin(inst: DualModularInstance, allocation: Allocation) -> MaximinReport:
     """Check x(S) = f(S) and y(S) = g(S) on every realized upper level set."""
+    if allocation.n != inst.n:
+        raise SchemaError("allocation", f"length {allocation.n} does not match n={inst.n}")
     rho = induced_densities(allocation, labels=inst.ground.labels)
     distinct = sorted(set(rho), reverse=True)
     rows = []
@@ -102,6 +104,8 @@ def equivalence_report(
     density vector (the lex-minimum over all allocations), since the
     allocation polytope cannot be enumerated.
     """
+    if dec.n != inst.n:
+        raise DecompositionError("decomposition does not match the instance")
     rho = induced_densities(allocation, labels=inst.ground.labels)
     report = is_locally_maximin(inst, allocation)
     match = all(r == s for r, s in zip(rho, dec.rho_star))

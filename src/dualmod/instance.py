@@ -8,11 +8,11 @@ marginal restriction).  Structural properties -- supermodularity of the
 reward, submodularity and strict monotonicity of the cost -- are *checked
 on every second difference and every one-element step*, never assumed.
 
-Values are exact rationals (`fractions.Fraction`).  Each spec also gives
-them as Python ints over its one positive denominator: a table of all 2^n
-values, read by verification, decomposition, membership, contracts and
-`extremes`, and the n + 1 prefixes of one order, read by the solver and the
-permutation vertices.  Nothing here ever rounds.
+Each spec gives its values as Python ints over its one positive
+denominator: a table of all 2^n values (verification, decomposition,
+membership, contracts, `extremes`) and the prefixes of a chain of distinct
+elements (the solver, permutation vertices, and a single `Fraction` value,
+the last prefix of a walk over its subset).  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -135,20 +135,27 @@ def _prefix_masks(order: Sequence[int]) -> list[int]:
 class SetFunctionSpec:
     """Base of every set-function representation.
 
-    Subclasses implement ``value(mask)``, the exact rational value of the
-    encoded subset, and ``table(n)``: all 2^n values as ``(values, den)``,
-    integers over one denominator with ``values[mask] == value(mask) * den``.
-    ``prefixes(order)`` does the same for the n + 1 prefixes of an order of
-    all n elements: ``values[i]`` is ``value`` of the first i elements of
-    ``order``, times ``den``.  Each spec clears its inputs' denominators
-    once, so its table and every walk share one ``den`` and their integers
-    compare across walks.  Structured kinds walk in O(m + n) integer
-    operations for m edges.  ``check(n)`` raises :class:`SchemaError` unless
-    the spec fits a ground set of n elements; instances call it.
+    Subclasses implement ``table(n)``: all 2^n values as ``(values, den)``,
+    integers over one denominator with ``values[mask] == value(mask) * den``,
+    and ``prefixes(order)`` for a chain of distinct elements from the empty
+    set, an order of all n elements or fewer: ``values[i]`` is ``value`` of
+    the first i elements of ``order``, times ``den``.  Each spec clears its
+    inputs' denominators once, so its table and every walk share one ``den``
+    and their integers compare across walks.  Structured kinds walk in
+    O(m + n) integer operations for m edges.  ``value(mask)`` is the last
+    prefix of one walk over the elements of ``mask``.  ``check(n)`` raises
+    :class:`SchemaError` unless the spec fits n elements; instances call it.
     """
 
+    _n: Optional[int] = None  # the size of the ground set a kind is built for; None: it fits any
+
     def value(self, mask: int) -> Fraction:
-        raise NotImplementedError
+        """h(S), the exact rational value of the subset encoded by ``mask``."""
+        n = self._n
+        if mask < 0 or n is not None and mask >> n:
+            raise SchemaError("values", f"mask {mask} out of table range {'>= 0' if n is None else 1 << n}")
+        values, den = self.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
+        return Fraction(values[-1], den)
 
     def check(self, n: int) -> None:
         pass
@@ -160,6 +167,7 @@ class SetFunctionSpec:
 @dataclass(frozen=True)
 class ExplicitTable(SetFunctionSpec):
     values: tuple[Fraction, ...]
+    _n = property(lambda self: len(self.values).bit_length() - 1)
 
     def __post_init__(self):
         size = len(self.values)
@@ -170,11 +178,6 @@ class ExplicitTable(SetFunctionSpec):
         for i, v in enumerate(self.values):
             if v < 0:
                 raise SchemaError("values", f"negative value {v} at mask {i}")
-
-    def value(self, mask: int) -> Fraction:
-        if not 0 <= mask < len(self.values):
-            raise SchemaError("values", f"mask {mask} out of table range {len(self.values)}")
-        return self.values[mask]
 
     @cached_property
     def _cleared(self) -> tuple[tuple[int, ...], int]:
@@ -214,17 +217,14 @@ class EdgesInside(SetFunctionSpec):
             if w < 0:
                 raise SchemaError("edges", f"negative edge weight {w} on ({u}, {v})")
 
-    def value(self, mask: int) -> Fraction:
-        edges, den = self._cleared
-        return Fraction(sum(w for u, v, w in edges if mask >> u & 1 and mask >> v & 1), den)
-
     @cached_property
-    def _cleared(self) -> tuple[list[tuple[int, int, int]], int]:
+    def _cleared(self) -> tuple[list[tuple[int, int, int]], int, int]:
         weights, den = _over_common_den([w for _, _, w in self.edges])
-        return [(u, v, w) for (u, v, _), w in zip(self.edges, weights)], den
+        span = 1 + max((max(u, v) for u, v, _ in self.edges), default=-1)
+        return [(u, v, w) for (u, v, _), w in zip(self.edges, weights)], den, span
 
     def table(self, n: int) -> tuple[list[int], int]:
-        edges, den = self._cleared
+        edges, den, _ = self._cleared
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u, v, w in edges:
             lo, hi = min(u, v), max(u, v)
@@ -241,15 +241,18 @@ class EdgesInside(SetFunctionSpec):
         return tab, den
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
-        # an edge (a loop too) joins the prefixes at its later endpoint
-        edges, den = self._cleared
-        arrival = [0] * len(order)
+        # an edge (a loop too) joins the prefixes at its later endpoint; an endpoint
+        # outside the chain arrives one past its end, in a step dropped at the end
+        edges, den, span = self._cleared  # span: 1 + the largest endpoint
+        arrival = [len(order) + 1] * span
         for i, u in enumerate(order, 1):
-            arrival[u] = i
-        step = [0] * (len(order) + 1)
+            if u < span:
+                arrival[u] = i
+        step = [0] * (len(order) + 2)
         for u, v, w in edges:
             a, b = arrival[u], arrival[v]
             step[a if a > b else b] += w
+        step.pop()
         return list(accumulate(step)), den
 
     def check(self, n: int) -> None:
@@ -267,20 +270,12 @@ class EdgesInside(SetFunctionSpec):
 @dataclass(frozen=True)
 class Linear(SetFunctionSpec):
     weights: tuple[Fraction, ...]
+    _n = property(lambda self: len(self.weights))
 
     def __post_init__(self):
         for i, w in enumerate(self.weights):
             if w < 0:
                 raise SchemaError("weights", f"negative weight {w} at element {i}")
-
-    def value(self, mask: int) -> Fraction:
-        weights, den = self._cleared
-        total = 0
-        while mask:
-            low = (mask & -mask).bit_length() - 1
-            total += weights[low]
-            mask &= mask - 1
-        return Fraction(total, den)
 
     @cached_property
     def _cleared(self) -> tuple[tuple[int, ...], int]:
@@ -307,6 +302,7 @@ class ConcaveOfCardinality(SetFunctionSpec):
     """phi(|S|) for a concave sequence phi(0..n) with phi(0) = 0."""
 
     phi: tuple[Fraction, ...]
+    _n = property(lambda self: len(self.phi) - 1)
 
     def __post_init__(self):
         if not self.phi or self.phi[0] != 0:
@@ -318,9 +314,6 @@ class ConcaveOfCardinality(SetFunctionSpec):
         for d1, d2 in zip(increments, increments[1:]):
             if d2 > d1:
                 raise SchemaError("phi", "increments must be non-increasing")
-
-    def value(self, mask: int) -> Fraction:
-        return self.phi[mask.bit_count()]
 
     @cached_property
     def _cleared(self) -> tuple[tuple[int, ...], int]:
@@ -346,13 +339,11 @@ class ConcaveOfCardinality(SetFunctionSpec):
 class Scaled(SetFunctionSpec):
     base: SetFunctionSpec
     factor: Fraction
+    _n = property(lambda self: self.base._n)
 
     def __post_init__(self):
         if self.factor < 0:
             raise SchemaError("factor", f"scale factor must be >= 0, got {self.factor}")
-
-    def value(self, mask: int) -> Fraction:
-        return self.factor * self.base.value(mask)
 
     def _scale(self, base: tuple[list[int], int]) -> tuple[list[int], int]:
         values, den = base
@@ -377,13 +368,11 @@ class Perturbed(SetFunctionSpec):
 
     base: SetFunctionSpec
     eta: Fraction
+    _n = property(lambda self: self.base._n)
 
     def __post_init__(self):
         if self.eta < 0:
             raise SchemaError("eta", f"perturbation amount must be >= 0, got {self.eta}")
-
-    def value(self, mask: int) -> Fraction:
-        return self.base.value(mask) + self.eta * mask.bit_count()
 
     def _lift(self, base: tuple[list[int], int], sizes) -> tuple[list[int], int]:
         # base/den + (p/q) |S| = (q base + p den |S|) / (q den)
@@ -411,10 +400,7 @@ class ComplementOf(SetFunctionSpec):
 
     base: SetFunctionSpec
     n: int
-
-    def value(self, mask: int) -> Fraction:
-        full = (1 << self.n) - 1
-        return self.base.value(full) - self.base.value(full ^ mask)
+    _n = property(lambda self: self.n)
 
     def table(self, n: int) -> tuple[list[int], int]:
         b, den = self.base.table(n)
@@ -422,9 +408,10 @@ class ComplementOf(SetFunctionSpec):
         return [b[full] - b[full ^ m] for m in range(1 << n)], den
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
-        # V minus the first i elements of order is the first n - i of its reverse
-        b, den = self.base.prefixes(order[::-1])
-        return [b[-1] - v for v in reversed(b)], den
+        # V minus the first i of the chain is the first n - i of its completion's reverse
+        seen = set(order)
+        b, den = self.base.prefixes([u for u in range(self.n) if u not in seen][::-1] + list(order)[::-1])
+        return [b[-1] - v for v in reversed(b[self.n - len(order):])], den
 
     def check(self, n: int) -> None:
         if n != self.n:
@@ -447,6 +434,7 @@ class Marginal(SetFunctionSpec):
     base: SetFunctionSpec
     anchor: int
     index_map: tuple[int, ...]
+    _n = property(lambda self: len(self.index_map))
 
     def _expand(self, mask: int) -> int:
         out = 0
@@ -456,13 +444,6 @@ class Marginal(SetFunctionSpec):
             out |= 1 << self.index_map[low]
             m &= m - 1
         return out
-
-    @cached_property
-    def _anchor_value(self) -> Fraction:
-        return self.base.value(self.anchor)
-
-    def value(self, mask: int) -> Fraction:
-        return self.base.value(self._expand(mask) | self.anchor) - self._anchor_value
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         # one base walk: the anchor's elements first, then order; minus the anchor's prefix
@@ -731,8 +712,8 @@ def _restrict(spec: SetFunctionSpec, mask: int, keep: list[int]) -> Marginal:
     """spec(. | mask) on the elements ``keep``, one view over the original spec.
 
     A marginal of a marginal is the base's marginal at the union of both
-    anchors, so a value costs one base call at any peel depth, plus one per
-    view for the anchor, where a nested view would double that at every level.
+    anchors, so a walk, and so a value, is one base walk at any peel depth,
+    where a nested view would add a level of walks per peel.
     """
     if isinstance(spec, Marginal):
         return Marginal(spec.base, spec.anchor | spec._expand(mask), tuple(spec.index_map[i] for i in keep))

@@ -18,7 +18,7 @@ builds no table of all 2^n values, so the ground set has no size limit
 here.  The prefixes of a chosen permutation are filled together: the first
 order with an unstored prefix is walked once, in exact integers, and all
 its n + 1 values are stored.  Greedy++'s one-element removals from each
-remaining set are evaluated one mask at a time.
+remaining set are evaluated one mask at a time, each by one chain walk.
 
 A run is sequential; traces are immutable once returned.
 """
@@ -193,11 +193,12 @@ class _Memo(dict):
     ``vertex(sigma)`` reads the n + 1 prefixes of sigma; the first time one
     of them is not stored, one ``spec.prefixes`` walk stores all n + 1.
     Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
-    evaluates an unstored mask on its own.  In binary64 mode a value is
-    stored as a float, the correctly rounded exact value (one beyond the
-    binary64 range raises :class:`DomainError`); in rational mode as a
-    ``Fraction``.  A Frank-Wolfe step visits n + 1 prefixes and a Greedy++
-    step at most n^2 masks, so T steps hold at most min(2^n, T n^2) values.
+    stores an unstored mask from one walk over the chain of its elements.
+    In binary64 mode a value is stored as a float, the correctly rounded
+    exact value (one beyond the binary64 range raises :class:`DomainError`);
+    in rational mode as a ``Fraction``.  A Frank-Wolfe step visits n + 1
+    prefixes and a Greedy++ step at most n^2 masks, so T steps hold at most
+    min(2^n, T n^2) values.
 
     Two distinct values that round to one float give a share of 0 over a
     nonzero exact marginal, and ``vertex`` raises :class:`DomainError` on
@@ -238,9 +239,8 @@ class _Memo(dict):
         return self._checked(order, marginals(order, self._store(_prefix_masks(order), ints, den)))
 
     def __missing__(self, mask: int):
-        v = self._spec.value(mask)
-        # over the walks' denominator: a run walks its first order before any removal query
-        return self._store([mask], [v.numerator * (self._den // v.denominator)], self._den)[0]
+        ints, den = self._spec.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
+        return self._store([mask], ints[-1:], den)[0]
 
     def _store(self, masks, ints, den) -> list:
         try:
@@ -248,7 +248,6 @@ class _Memo(dict):
         except OverflowError:
             raise DomainError(f"{self._name}: a value exceeds the binary64 range") from None
         self.update(zip(masks, values))
-        self._den = den
         if self._as_float and not self._unresolved:
             self._unresolved = den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
         return values

@@ -47,21 +47,23 @@ MUTANTS = [
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv]:",
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv] + 1:",
            ("tests/test_verify_local.py",)),
-    # the exact value layer and prefix walks
+    # the exact value layer and prefix walks; ``value`` is itself a walk, so a
+    # walk is checked against the Fraction oracle of the raw inputs
     Mutant("perturbed-sizes-off-by-one", "instance.py",
            "return self._lift(self.base.prefixes(order), range(len(order) + 1))",
            "return self._lift(self.base.prefixes(order), range(1, len(order) + 2))",
-           ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
+           ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
     Mutant("complement-walk-not-reversed", "instance.py",
-           "b, den = self.base.prefixes(order[::-1])", "b, den = self.base.prefixes(order)",
+           "[u for u in range(self.n) if u not in seen][::-1] + list(order)[::-1]",
+           "list(order) + [u for u in range(self.n) if u not in seen]",
            ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
     Mutant("edge-at-earlier-endpoint", "instance.py",
            "step[a if a > b else b] += w", "step[a if a < b else b] += w",
-           ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
+           ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
     Mutant("scaled-drops-denominator", "instance.py",
            "return [self.factor.numerator * v for v in values], den * self.factor.denominator",
            "return [self.factor.numerator * v for v in values], den",
-           ("tests/test_value_layer.py::test_table_is_value_over_one_denominator",)),
+           ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
     Mutant("membership-sign", "permutation.py",
            "y_wit = _first_base_violation(gtab, dg, allocation.y, slack, -1)",
            "y_wit = _first_base_violation(gtab, dg, allocation.y, slack, 1)",
@@ -148,7 +150,7 @@ MUTANTS = [
     # Marginal walks through its base
     Mutant("marginal-minus-empty-prefix", "instance.py",
            "return [v - values[k] for v in values[k:]], den", "return [v - values[0] for v in values[k:]], den",
-           ("tests/test_instance.py::TestResidual::test_prefixes_match_value",)),
+           ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
     # one denominator per spec: explicit tables walk their cleared cache, and
     # a marginal table indexes its base's table
     Mutant("explicit-walk-in-mask-order", "instance.py",
@@ -182,6 +184,26 @@ MUTANTS = [
     Mutant("objective-range-check-off", "cli.py",
            "if not math.isfinite(phi):", "if False:",
            (f"{CLI}::test_input_reaches_its_exit_code",)),
+    # one value rule: the last prefix of a chain walk, and the mask it accepts
+    Mutant("edge-counted-before-arrival", "instance.py",
+           "arrival = [len(order) + 1] * span", "arrival = [0] * span",
+           ("tests/test_value_layer.py::test_chain_prefixes_are_table_values",)),
+    Mutant("complement-chain-not-completed", "instance.py",
+           "[u for u in range(self.n) if u not in seen][::-1] + ", "",
+           ("tests/test_value_layer.py::test_chain_prefixes_are_table_values",)),
+    Mutant("value-reads-wrong-prefix", "instance.py",
+           "return Fraction(values[-1], den)", "return Fraction(values[-2], den)",
+           ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
+    Mutant("mask-rule-ignores-size", "instance.py",
+           "if mask < 0 or n is not None and mask >> n:", "if mask < 0:",
+           ("tests/test_value_layer.py::test_value_refuses_a_mask_outside_the_ground_set",)),
+    # decompositions and allocations that do not fit
+    Mutant("rho-star-check-off", "decomposition.py",
+           "if tuple(self.rho_star) != _rho_star(self.n, self.parts, self.densities):", "if False:",
+           ("tests/test_decomposition.py::TestDensityDecomposition::test_one_density_per_part_and_element",)),
+    Mutant("allocation-length-check-off", "fairness.py",
+           "if allocation.n != inst.n:", "if False:",
+           ("tests/test_fairness.py::TestLocallyMaximin::test_allocation_of_another_length",)),
 ]
 
 

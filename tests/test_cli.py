@@ -394,6 +394,7 @@ MALFORMED = [
     ("zero-cost-total", _instance(g={"kind": "linear", "weights": [0, 0]}), None, 2, "g(V) must be positive"),
     ("sup-without-hockey-stick", None, ["divergence", "--x", "1,1", "--y", "1,1", "--sup"], 1, "sup: "),
     ("negative-cost-share", None, ["divergence", "--x", "1,1", "--y=-1,1"], 3, "negative cost share y[0] = -1"),
+    ("alpha-out-of-range", _instance(), ["contracts", "{path}", "--alpha", "3/2"], 1, "alpha: must lie in [0, 1], got 3/2"),
 ]
 
 
@@ -462,7 +463,6 @@ EXIT_CODES = [
     (errors.InfiniteDensity(3), 3),
     (errors.EmptyResidual(), 3),
     (errors.DecompositionError("parts do not cover the ground set"), 3),
-    (errors.AlphaOutOfRange(2), 3),
     (errors.NotLinearCost(), 3),
     (errors.WeightSumMismatch(2), 3),
 ]

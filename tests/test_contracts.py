@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualmod as dm
-from dualmod.errors import AlphaOutOfRange
+from dualmod.errors import SchemaError
 
 from conftest import (
     consistent_permutation,
@@ -52,7 +52,7 @@ class TestBestResponse:
     def test_alpha_out_of_range(self, tri_iso):
         dec = dm.density_decomposition(tri_iso)
         for bad in (F(-1, 2), F(3, 2)):
-            with pytest.raises(AlphaOutOfRange):
+            with pytest.raises(SchemaError, match=r"^alpha: must lie in \[0, 1\], got "):
                 dm.best_response(tri_iso, dec, bad)
 
     def test_chain_is_monotone_in_alpha(self):
@@ -154,7 +154,7 @@ class TestContractAt:
     def test_alpha_out_of_range(self, tri_iso):
         dec = dm.density_decomposition(tri_iso)
         for bad in (F(-1, 2), F(3, 2)):
-            with pytest.raises(AlphaOutOfRange):
+            with pytest.raises(SchemaError, match=r"^alpha: must lie in \[0, 1\], got "):
                 dm.contract_at(tri_iso, dec, bad)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualmod as dm
-from dualmod.errors import DomainError, InfiniteDensity
+from dualmod.errors import DecompositionError, DomainError, InfiniteDensity
 
 from conftest import random_instance, value_tables
 
@@ -146,6 +146,16 @@ class TestDensityDecomposition:
         dec = dm.density_decomposition(p3)
         assert dec.k == 1
         assert dec.rho_star == (F(2, 3),) * 3
+
+    @pytest.mark.parametrize("parts,densities,rho_star", [
+        ((0b111,), (F(2, 3),), (5, 5)),
+        ((0b111,), (F(2, 3),), (F(2, 3), F(2, 3), F(1))),
+        ((0b001, 0b110), (F(1),), (F(1),)),
+        ((0b111,), (F(2, 3), F(1, 2)), (F(2, 3),) * 3),
+    ], ids=["rho-star-short", "rho-star-wrong", "part-without-density", "density-without-part"])
+    def test_one_density_per_part_and_element(self, parts, densities, rho_star):
+        with pytest.raises(DecompositionError):
+            dm.DensityDecomposition(n=3, parts=parts, densities=densities, rho_star=rho_star)
 
     def test_strict_decrease_on_random(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dualmod as dm
-from dualmod.errors import SchemaError, ZeroCostCoordinate
+from dualmod.errors import DecompositionError, SchemaError, ZeroCostCoordinate
 
 from conftest import random_consistent_allocation, random_instance
 
@@ -52,6 +52,14 @@ class TestLocallyMaximin:
         assert v.mask == 0b110  # elements 2 and 3 of the path
         assert v.reward_slack == 1  # x(S) = 2 exceeds f(S) = 1
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_allocation_of_another_length(self, p3, size):
+        a = dm.Allocation(x=(F(2, 3),) * size, y=(F(1),) * size)
+        with pytest.raises(SchemaError, match=rf"^allocation: length {size} does not match n=3$"):
+            dm.is_locally_maximin(p3, a)
+        with pytest.raises(SchemaError, match=rf"^allocation: length {size} does not match n=3$"):
+            dm.equivalence_report(p3, a, dm.density_decomposition(p3))
+
     def test_zero_cost_propagates(self, sec32):
         a = dm.Allocation(x=(F(1), F(0), F(1)), y=(F(1), F(0), F(2)))
         with pytest.raises(ZeroCostCoordinate):
@@ -97,6 +105,12 @@ class TestEquivalenceReport:
         a = dm.Allocation(x=(F(3),), y=(F(2),))
         rep = dm.equivalence_report(inst, a, dec)
         assert rep.densities_match and rep.locally_maximin and rep.agree
+
+    def test_decomposition_of_another_ground_set(self, p3):
+        dec = dm.DensityDecomposition(n=4, parts=(0b1111,), densities=(F(1),), rho_star=(F(1),) * 4)
+        a = dm.Allocation(x=(F(2, 3),) * 3, y=(F(1),) * 3)
+        with pytest.raises(DecompositionError, match="does not match the instance"):
+            dm.equivalence_report(p3, a, dec)
 
     def test_equivalence_on_consistent_mixtures(self):
         # density agreement and the level-set condition are two faces of the

@@ -115,10 +115,10 @@ def test_memo_matches_direct_walk_above_old_table_size(arithmetic, T):
         assert_same_run(inst, cfg, Direct(inst.f, as_float), Direct(inst.g, as_float), table_walk)
 
 
-def prefix_set(sigma):
+def prefix_set(order):
     out = {0}
     prefix = 0
-    for u in sigma.order:
+    for u in order:
         prefix |= 1 << u
         out.add(prefix)
     return out
@@ -126,46 +126,49 @@ def prefix_set(sigma):
 
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
 def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
-    """Frank-Wolfe calls no ``value``: each order with an unstored prefix is
-    walked once, and no other.  Greedy++'s removal queries call ``value`` at
-    most once per mask, and never for a mask a walk stored."""
+    """Every value comes from a ``prefixes`` call.  One over all n elements is
+    a walk, and a shorter chain is a query for its last mask.  Frank-Wolfe
+    makes only walks, each for an order with an unstored prefix, and no
+    chain query.  Greedy++'s removal queries ask for each mask at most once,
+    and never for a mask a walk stored."""
     events = []
+    n = 10
 
-    def recording(cls, name):
-        original = getattr(cls, name)
+    def recording(cls):
+        original = cls.prefixes
 
-        def method(self, arg):
-            events.append((self, name, arg))
-            return original(self, arg)
+        def prefixes(self, order):
+            events.append((self, tuple(order)))
+            return original(self, order)
 
-        monkeypatch.setattr(cls, name, method)
+        monkeypatch.setattr(cls, "prefixes", prefixes)
 
     for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality):
-        recording(cls, "value")
-        recording(cls, "prefixes")
+        recording(cls)
     rng = np.random.default_rng(53)
-    for inst, variant in cases(rng, 10):
+    for inst, variant in cases(rng, n):
         events.clear()
         cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
         trace = dm.solve(inst, cfg)
-        orders = [dm.Permutation.identity(10)] + [r.sigma for r in trace.rows]
-        visited = set().union(*map(prefix_set, orders))
+        orders = [dm.Permutation.identity(n)] + [r.sigma for r in trace.rows]
+        visited = set().union(*(prefix_set(s.order) for s in orders))
         for spec in (inst.f, inst.g):
             stored = set()
             walked = []
-            for who, name, arg in events:
+            for who, chain in events:
                 if who is not spec:
                     continue
-                if name == "prefixes":
+                masks = prefix_set(chain)
+                if len(chain) == n:
                     # a walk only for an order with an unstored prefix
-                    masks = prefix_set(dm.Permutation(arg))
                     assert not masks <= stored
-                    walked.append(arg)
+                    walked.append(chain)
                     stored |= masks
                 else:
-                    # a Greedy++ removal query, never for a stored mask
-                    assert arg not in stored
-                    stored.add(arg)
+                    # a Greedy++ removal query for the chain's last mask, never a stored one
+                    mask = sum(1 << u for u in chain)
+                    assert mask not in stored
+                    stored.add(mask)
             assert walked and len(walked) == len(set(walked))
             if variant == "fw":
                 assert stored == visited
@@ -173,6 +176,6 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
                 assert visited <= stored
         if variant == "fw":
             # Frank-Wolfe reads every value off a walk, nested specs included
-            assert not [e for e in events if e[1] == "value"]
+            assert all(len(chain) == n for _, chain in events)
         else:
-            assert any(who is inst.f and name == "value" for who, name, _ in events)
+            assert any(who is inst.f and len(chain) < n for who, chain in events)

@@ -1,22 +1,24 @@
 """The integer value layer against the rationals it encodes.
 
 ``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``,
-and ``prefixes(order)`` the same for the n + 1 prefixes of one order; every
-consumer reads those integers.  The tests here compare the tables and the
-prefix walks with ``value`` for each spec kind, and with each other over the
-spec's one denominator; permutation vertices with a walk that calls
-``value`` once per prefix; and base-polytope membership with the Fraction
-subset-sum check it replaced.  ``value`` itself reads the
-same cleared integers for edges and linear weights, so it is checked against
-a Fraction sum over the raw inputs.
+and ``prefixes(chain)`` the same for the prefixes of a chain of distinct
+elements; every consumer reads those integers.  The tests here compare the
+tables and the prefix walks, over whole orders and shorter chains, with
+``value`` for each spec kind, and with each other over the spec's one
+denominator; permutation vertices with a walk that calls ``value`` once per
+prefix; and base-polytope membership with the Fraction subset-sum check it
+replaced.  ``value`` is itself the last prefix of a walk, so every kind is
+also checked against a Fraction value computed from its raw inputs.
 """
 
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
+from dualmod.errors import SchemaError
 
 from conftest import random_allocation, random_instance, value_tables
 
@@ -67,7 +69,14 @@ def specs(draw):
 
 
 def fraction_value(spec, mask):
-    """The spec's value summed in Fractions from its raw ``edges`` and ``weights``."""
+    """The spec's value in Fractions from its raw inputs, without the integer layer."""
+    if isinstance(spec, dm.ExplicitTable):
+        return spec.values[mask]
+    if isinstance(spec, dm.ConcaveOfCardinality):
+        return spec.phi[mask.bit_count()]
+    if isinstance(spec, dm.Marginal):
+        expanded = spec.anchor | sum(1 << u for i, u in enumerate(spec.index_map) if mask >> i & 1)
+        return fraction_value(spec.base, expanded) - fraction_value(spec.base, spec.anchor)
     if isinstance(spec, dm.EdgesInside):
         return sum((w for u, v, w in spec.edges if mask >> u & 1 and mask >> v & 1), F(0))
     if isinstance(spec, dm.Linear):
@@ -113,6 +122,40 @@ def test_value_is_the_fraction_sum_of_the_inputs(case):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(specs())
+def test_value_of_every_kind_is_its_fraction_value(case):
+    spec, n = case
+    for m in range(1 << n):
+        value = spec.value(m)
+        assert type(value) is F
+        assert value == fraction_value(spec, m)
+
+
+# a mask with an element outside the ground set a kind is built for, or a
+# negative one: (id, spec, mask, the range in the message)
+MASK_PROBES = [
+    ("concave-more-elements-than-n", dm.ConcaveOfCardinality((F(0), F(2), F(3))), 0b111, 4),
+    ("concave-element-past-n", dm.ConcaveOfCardinality((F(0), F(2), F(3))), 0b1001, 4),
+    ("linear-past-n", dm.Linear((F(1), F(2))), 0b100, 4),
+    ("complement-past-n", dm.ComplementOf(dm.Linear((F(1), F(2))), 2), 0b100, 4),
+    ("edges-negative", dm.EdgesInside(((0, 1, F(1)),)), -1, ">= 0"),
+    ("explicit-negative", dm.ExplicitTable((F(0), F(1))), -1, 2),
+]
+
+
+@pytest.mark.parametrize("spec,mask,span", [p[1:] for p in MASK_PROBES], ids=[p[0] for p in MASK_PROBES])
+def test_value_refuses_a_mask_outside_the_ground_set(spec, mask, span):
+    with pytest.raises(SchemaError, match=rf"^values: mask {mask} out of table range {span}$"):
+        spec.value(mask)
+
+
+def test_edges_fit_any_ground_set():
+    # an edge kind is built for no size: an element beyond every edge adds nothing
+    spec = dm.EdgesInside(((0, 1, F(1)),))
+    assert [spec.value(m) for m in (0b11, 0b1000, 0b1011)] == [1, 0, 1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs())
 def test_table_is_value_over_one_denominator(case):
     spec, n = case
     values, den = spec.table(n)
@@ -149,6 +192,17 @@ def test_table_and_walks_share_one_denominator(case, data):
     for _ in range(3):
         order = tuple(data.draw(st.permutations(range(n))))
         assert spec.prefixes(order) == ([values[m] for m in prefix_masks(order)], den)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_chain_prefixes_are_table_values(case, data):
+    # a chain from the empty set: a random subset in random order
+    spec, n = case
+    values, den = spec.table(n)
+    for _ in range(3):
+        chain = tuple(data.draw(st.permutations(range(n))))[: data.draw(st.integers(0, n))]
+        assert spec.prefixes(chain) == ([values[m] for m in prefix_masks(chain)], den)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
