@@ -78,6 +78,7 @@ from .solver import (
     SolverConfig,
     SolverTrace,
     error_bounds,
+    final_iterate,
     frank_wolfe,
     gradient_oracle,
     greedy_plus_plus,

@@ -198,17 +198,19 @@ def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = 
 
 
 def density_ratios(x: Sequence, y: Sequence, labels: Optional[Sequence[str]] = None) -> list:
-    """[x_u / y_u for each u], raising :class:`ZeroCostCoordinate` on any y_u = 0."""
-    rho = []
-    for u, (xu, yu) in enumerate(zip(x, y)):
-        if yu == 0:
-            raise ZeroCostCoordinate(u, labels[u] if labels is not None else None)
-        rho.append(xu / yu)
-    return rho
+    """[x_u / y_u for each u], raising :class:`ZeroCostCoordinate` on the first y_u = 0."""
+    if 0 in y:
+        u = next(u for u, yu in enumerate(y) if yu == 0)
+        raise ZeroCostCoordinate(u, labels[u] if labels is not None else None)
+    return [xu / yu for xu, yu in zip(x, y)]
+
+
+def density_order(rho: Sequence) -> tuple[int, ...]:
+    """Non-increasing density order; equal densities by ascending element index."""
+    # a reversed sort is still stable: equal densities keep ascending index order
+    return tuple(sorted(range(len(rho)), key=rho.__getitem__, reverse=True))
 
 
 def sort_by_density(rho: Sequence) -> Permutation:
-    """Non-increasing density order; equal densities by ascending element index."""
-    # a reversed sort is still stable: equal densities keep ascending index order
-    order = sorted(range(len(rho)), key=rho.__getitem__, reverse=True)
-    return Permutation(tuple(order))
+    """``density_order`` as a :class:`Permutation`."""
+    return Permutation(density_order(rho))

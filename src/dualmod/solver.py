@@ -20,6 +20,12 @@ order with an unstored prefix is walked once, in exact integers, and all
 its n + 1 values are stored.  Greedy++'s one-element removals from each
 remaining set are evaluated one mask at a time, each by one chain walk.
 
+Both variants run as one step generator.  ``solve`` (and ``frank_wolfe``,
+``greedy_plus_plus``) keeps one ``TraceRow`` per step, with the objective
+under three generators and, every ``stride`` steps, a snapshot of the
+densities and the iterate: memory O(T n).  ``final_iterate`` runs the same
+steps to the same final iterate and keeps no per-iteration trace.
+
 A run is sequential; traces are immutable once returned.
 """
 
@@ -44,7 +50,7 @@ from .instance import (
     _prefix_masks,
     extremes,
 )
-from .permutation import Allocation, Permutation, density_ratios, marginals, sort_by_density, vertex
+from .permutation import Permutation, density_order, density_ratios, marginals, sort_by_density, vertex
 from .rational import format_rational
 
 
@@ -99,9 +105,6 @@ class SolverTrace:
     final_x: tuple
     final_y: tuple
     final_rho: tuple
-
-    def final_allocation(self) -> Allocation:
-        return Allocation(x=self.final_x, y=self.final_y)
 
     def to_json(self) -> dict:
         return {
@@ -190,7 +193,7 @@ _DEN_BOUND = 2**1022
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
-    ``vertex(sigma)`` reads the n + 1 prefixes of sigma; the first time one
+    ``vertex(order)`` reads the n + 1 prefixes of order; the first time one
     of them is not stored, one ``spec.prefixes`` walk stores all n + 1.
     Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
     stores an unstored mask from one walk over the chain of its elements.
@@ -218,21 +221,21 @@ class _Memo(dict):
         self._as_float = as_float
         self._unresolved = False  # binary64: some stored value is outside the bounds above
 
-    def vertex(self, sigma: Permutation) -> list:
+    def vertex(self, order: tuple) -> list:
         get = self.get  # no __missing__: an unstored prefix reads None
-        out = [0] * sigma.n
+        out = [0] * len(order)
         prefix = 0
         prev = get(0)
         if prev is None:
-            return self._walk(sigma.order)
-        for u in sigma.order:
+            return self._walk(order)
+        for u in order:
             prefix |= 1 << u
             cur = get(prefix)
             if cur is None:
-                return self._walk(sigma.order)
+                return self._walk(order)
             out[u] = cur - prev
             prev = cur
-        return self._checked(sigma.order, out) if self._unresolved else out
+        return self._checked(order, out) if self._unresolved else out
 
     def _walk(self, order) -> list:
         ints, den = self._spec.prefixes(order)
@@ -298,7 +301,17 @@ def _phi_values(rho, y):
     return quad, kl, eg
 
 
-def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma) -> SolverTrace:
+def _steps(inst: DualModularInstance, cfg: SolverConfig, variant: str):
+    """The iteration of ``variant`` as a generator of its steps.
+
+    Before each update it yields ``(k, rho, order, x, y)``: the step number,
+    the iterate (x, y), its densities rho and the order chosen from them.
+    When the steps are done it returns the final ``(x, y, rho)``.  It keeps
+    only the current iterate and the memos; rows are the consumer's to keep.
+    """
+    greedy = variant == "greedypp"
+    if greedy and as_linear_weights(inst.g, inst.n) is None:
+        raise NotLinearCost()
     as_float = cfg.arithmetic == "binary64"
     labels = inst.ground.labels
     f = _Memo(inst.f, as_float, "f", labels)
@@ -315,16 +328,64 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = f.vertex(sigma0), g.vertex(sigma0)
+    x, y = f.vertex(sigma0.order), g.vertex(sigma0.order)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
-    lead = 1 if variant == "greedypp" else 2
+    lead = 1 if greedy else 2
 
-    rows = []
     for k in range(cfg.iterations):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
         rho = densities(x, y)
-        sigma = pick_sigma(x, rho, f, gamma)
-        snapshot = k % cfg.stride == 0 or k == cfg.iterations - 1
+        order = _removal_order(inst.ground.full_mask, x, f, gamma) if greedy else density_order(rho)
+        yield k, rho, order, x, y
+        c, d = f.vertex(order), g.vertex(order)
+        keep = 1 - gamma
+        x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
+        y = [keep * yu + gamma * du for yu, du in zip(y, d)]
+    return x, y, densities(x, y)
+
+
+def _removal_order(full: int, x, f: _Memo, gamma) -> tuple[int, ...]:
+    """Greedy++'s order, built back to front: from the remaining set, remove
+    the element of smallest blended score (1 - gamma) x_u + gamma f(u | rest)."""
+    keep = 1 - gamma
+    remaining = full
+    order_rev = []
+    f_rem = f[remaining]
+    while remaining:
+        best_u = None
+        best_score = None
+        m = remaining
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            score = keep * x[u] + gamma * (f_rem - f[remaining ^ (1 << u)])
+            if best_score is None or score < best_score:
+                best_score = score
+                best_u = u
+        order_rev.append(best_u)
+        remaining ^= 1 << best_u
+        f_rem = f[remaining]
+    return tuple(reversed(order_rev))
+
+
+def _finish(steps, record=None):
+    """Run a step generator to its end, passing each step to ``record``; its return value."""
+    while True:
+        try:
+            step = next(steps)
+        except StopIteration as stop:
+            return stop.value
+        if record is not None:
+            record(*step)
+
+
+def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> SolverTrace:
+    """The steps of ``variant`` with one TraceRow each."""
+    rows = []
+    last = cfg.iterations - 1
+
+    def record(k, rho, order, x, y):
+        snapshot = k % cfg.stride == 0 or k == last
         quad, kl, eg = _phi_values(rho, y)
         rows.append(
             TraceRow(
@@ -332,35 +393,28 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, pick_sigma)
                 phi_quadratic=quad,
                 phi_kl=kl,
                 phi_eg=eg,
-                sigma=sigma,
+                sigma=Permutation(order),
                 rho=tuple(rho) if snapshot else None,
                 allocation=(tuple(x), tuple(y)) if snapshot else None,
             )
         )
-        c, d = f.vertex(sigma), g.vertex(sigma)
-        keep = 1 - gamma
-        x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
-        y = [keep * yu + gamma * du for yu, du in zip(y, d)]
 
+    x, y, rho = _finish(_steps(inst, cfg, variant), record)
     return SolverTrace(
         variant=variant,
         arithmetic=cfg.arithmetic,
         iterations=cfg.iterations,
-        labels=labels,
+        labels=inst.ground.labels,
         rows=tuple(rows),
         final_x=tuple(x),
         final_y=tuple(y),
-        final_rho=tuple(densities(x, y)),
+        final_rho=tuple(rho),
     )
 
 
 def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Run the density-sorting iteration for cfg.iterations steps."""
-
-    def pick(x, rho, f, gamma):
-        return sort_by_density(rho)
-
-    return _run(inst, cfg, "fw", pick)
+    return _trace(inst, cfg, "fw")
 
 
 def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]:
@@ -382,37 +436,18 @@ def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]
 
 def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Greedy++ iteration; the cost function must be linear."""
-    if as_linear_weights(inst.g, inst.n) is None:
-        raise NotLinearCost()
-
-    def pick(x, rho, f, gamma):
-        keep = 1 - gamma
-        remaining = inst.ground.full_mask
-        order_rev = []
-        f_rem = f[remaining]
-        while remaining:
-            best_u = None
-            best_score = None
-            m = remaining
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                score = keep * x[u] + gamma * (f_rem - f[remaining ^ (1 << u)])
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_u = u
-            order_rev.append(best_u)
-            remaining ^= 1 << best_u
-            f_rem = f[remaining]
-        return Permutation(tuple(reversed(order_rev)))
-
-    return _run(inst, cfg, "greedypp", pick)
+    return _trace(inst, cfg, "greedypp")
 
 
 def solve(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
-    if cfg.variant == "greedypp":
-        return greedy_plus_plus(inst, cfg)
-    return frank_wolfe(inst, cfg)
+    """The full trace of cfg.variant: one row per step, O(T n) memory."""
+    return _trace(inst, cfg, cfg.variant)
+
+
+def final_iterate(inst: DualModularInstance, cfg: SolverConfig) -> tuple[tuple, tuple, tuple]:
+    """The final (x, y, rho) of cfg.variant, equal to ``solve``'s, with no trace kept."""
+    x, y, rho = _finish(_steps(inst, cfg, cfg.variant))
+    return tuple(x), tuple(y), tuple(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,37 @@ def hardness():
     return dm.load_instance(fixture_path("hardness"))
 
 
-def value_tables(inst):
-    """f and g on every mask as Fractions, one ``spec.value`` call each.
+def fraction_value(spec, mask):
+    """The spec's value in Fractions from its raw inputs, without the integer layer."""
+    if isinstance(spec, dm.ExplicitTable):
+        return spec.values[mask]
+    if isinstance(spec, dm.ConcaveOfCardinality):
+        return spec.phi[mask.bit_count()]
+    if isinstance(spec, dm.Marginal):
+        expanded = spec.anchor | sum(1 << u for i, u in enumerate(spec.index_map) if mask >> i & 1)
+        return fraction_value(spec.base, expanded) - fraction_value(spec.base, spec.anchor)
+    if isinstance(spec, dm.EdgesInside):
+        return sum((w for u, v, w in spec.edges if mask >> u & 1 and mask >> v & 1), F(0))
+    if isinstance(spec, dm.Linear):
+        return sum((w for i, w in enumerate(spec.weights) if mask >> i & 1), F(0))
+    if isinstance(spec, dm.Scaled):
+        return spec.factor * fraction_value(spec.base, mask)
+    if isinstance(spec, dm.Perturbed):
+        return fraction_value(spec.base, mask) + spec.eta * mask.bit_count()
+    if isinstance(spec, dm.ComplementOf):
+        full = (1 << spec.n) - 1
+        return fraction_value(spec.base, full) - fraction_value(spec.base, full ^ mask)
+    raise TypeError(f"no Fraction oracle for {type(spec).__name__}")
 
-    The oracles read these rather than ``inst.tables()``, so they stay
-    independent of the integer value layer under test.
+
+def value_tables(inst):
+    """f and g on every mask as Fractions, one ``fraction_value`` each.
+
+    The oracles read these rather than ``inst.tables()`` or ``value``, so
+    they stay independent of the integer value layer under test.
     """
     masks = range(1 << inst.n)
-    return [inst.f.value(s) for s in masks], [inst.g.value(s) for s in masks]
+    return [fraction_value(inst.f, s) for s in masks], [fraction_value(inst.g, s) for s in masks]
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ MUTANTS = [
            "self._exact = operator.truediv if as_float else Fraction", "self._exact = Fraction",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
     Mutant("greedypp-frank-wolfe-step", "solver.py",
-           'lead = 1 if variant == "greedypp" else 2', "lead = 2",
+           "lead = 1 if greedy else 2", "lead = 2",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
     Mutant("resolution-check-off", "solver.py",
            "if self._unresolved and 0.0 in c:", "if False:",
@@ -204,6 +204,35 @@ MUTANTS = [
     Mutant("allocation-length-check-off", "fairness.py",
            "if allocation.n != inst.n:", "if False:",
            ("tests/test_fairness.py::TestLocallyMaximin::test_allocation_of_another_length",)),
+    # decomposition checks that no other test reaches
+    Mutant("empty-or-overlapping-part-accepted", "decomposition.py",
+           "if p == 0 or union & p:", "if p == 0 and union & p:",
+           ("tests/test_decomposition.py::TestDensityDecomposition::test_parts_nonempty_and_disjoint",)),
+    Mutant("equal-densities-accepted", "decomposition.py",
+           "if not hi > lo:", "if not hi >= lo:",
+           ("tests/test_decomposition.py::TestDensityDecomposition::test_equal_densities_rejected",)),
+    Mutant("decrease-skips-first-pair", "decomposition.py",
+           "zip(self.densities, self.densities[1:])", "zip(self.densities, self.densities[2:])",
+           ("tests/test_decomposition.py::TestDensityDecomposition::test_equal_densities_rejected",)),
+    Mutant("union-guard-needs-both", "decomposition.py",
+           "if dg == 0 or df * best_g != best_f * dg:", "if dg == 0 and df * best_g != best_f * dg:",
+           ("tests/test_decomposition.py::TestDensityDecomposition::test_union_of_densest_subsets_not_densest",)),
+    # one step generator: final_iterate keeps no rows, solve keeps them
+    Mutant("final-iterate-runs-fw", "solver.py",
+           "_finish(_steps(inst, cfg, cfg.variant))", '_finish(_steps(inst, cfg, "fw"))',
+           (f"{SOLVER}::TestFinalIterate::test_matches_solve_bit_for_bit",)),
+    Mutant("final-densities-one-step-stale", "solver.py",
+           "return x, y, densities(x, y)", "return x, y, rho",
+           (f"{SOLVER}::TestFinalIterate::test_matches_solve_bit_for_bit",)),
+    Mutant("one-step-too-few", "solver.py",
+           "for k in range(cfg.iterations):", "for k in range(cfg.iterations - 1):",
+           ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
+    Mutant("zero-share-check-off", "permutation.py",
+           "if 0 in y:", "if False:",
+           (f"{SOLVER}::TestFinalIterate::test_same_error_on_both_paths",)),
+    Mutant("zero-share-names-last", "permutation.py",
+           "u = next(u for u, yu in enumerate(y) if yu == 0)", "u = max(u for u, yu in enumerate(y) if yu == 0)",
+           (f"{SOLVER}::TestFinalIterate::test_first_zero_cost_share_is_named",)),
 ]
 
 

@@ -184,7 +184,7 @@ def test_criterion_5_hockey_stick_duality():
     for inst in fw_instances:
         dec = dm.density_decomposition(inst)
         trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5000))
-        a = trace.final_allocation()
+        a = dm.Allocation(x=trace.final_x, y=trace.final_y)
         prefixes = dec.prefix_masks()
         for i, rho in enumerate(dec.densities):
             low = dec.densities[i + 1] if i + 1 < dec.k else F(0)

@@ -157,6 +157,28 @@ class TestDensityDecomposition:
         with pytest.raises(DecompositionError):
             dm.DensityDecomposition(n=3, parts=parts, densities=densities, rho_star=rho_star)
 
+    @pytest.mark.parametrize("parts,densities,rho_star", [
+        ((0b01, 0b00, 0b10), (F(3), F(2), F(1)), (F(3), F(1))),
+        ((0b01, 0b11), (F(2), F(1)), (F(2), F(1))),
+    ], ids=["empty-part", "overlapping-parts"])
+    def test_parts_nonempty_and_disjoint(self, parts, densities, rho_star):
+        with pytest.raises(DecompositionError, match="^parts must be nonempty and disjoint$"):
+            dm.DensityDecomposition(n=2, parts=parts, densities=densities, rho_star=rho_star)
+
+    def test_equal_densities_rejected(self):
+        with pytest.raises(DecompositionError, match="^part densities must strictly decrease, got 1 then 1$"):
+            dm.DensityDecomposition(n=2, parts=(0b01, 0b10), densities=(F(1), F(1)), rho_star=(F(1), F(1)))
+
+    def test_union_of_densest_subsets_not_densest(self):
+        # {a} and {b} have density 1, {a, b} only 1/2: f is not supermodular
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")),
+            f=dm.ExplicitTable((F(0), F(1), F(1), F(1))),
+            g=dm.Linear((F(1), F(1))),
+        )
+        with pytest.raises(DecompositionError, match="^union of densest subsets is not densest"):
+            dm.density_decomposition(inst)
+
     def test_strict_decrease_on_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

@@ -2,8 +2,9 @@
 
 Each case runs one subcommand on one fixture and compares its stdout with
 ``golden/<fixture>.<command>.out``, and its exit code and stderr with the
-case's entry in ``golden/status.json``.  ``solve --trace`` on the fixtures
-in ``TRACED`` is compared with ``golden/<fixture>.trace.csv`` byte for byte.
+case's entry in ``golden/status.json``.  Each ``solve`` case also runs with
+``--trace`` and must print the same.  ``solve --trace`` on the fixtures in
+``TRACED`` is compared with ``golden/<fixture>.trace.csv`` byte for byte.
 The cases run in-process through ``main``, one after another; ``solve`` also
 runs once per fixture in a fresh interpreter, as from a shell.  The files
 guard refactors that must not change what the command line prints.
@@ -38,6 +39,7 @@ COMMANDS = {
     "complement": ("complement",),
 }
 CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
+SOLVES = [(name, cmd) for name, cmd in CASES if COMMANDS[cmd][0] == "solve"]
 TRACED = ("p3", "tri_iso")
 
 
@@ -79,6 +81,12 @@ def golden_trace(name: str) -> str:
 @pytest.mark.parametrize("name,cmd", CASES, ids=[f"{n}-{c}" for n, c in CASES])
 def test_cli_output_matches_golden(name, cmd):
     assert capture(name, cmd) == expected(name, cmd)
+
+
+@pytest.mark.parametrize("name,cmd", SOLVES, ids=[f"{n}-{c}" for n, c in SOLVES])
+def test_traced_solve_prints_the_golden(name, cmd, tmp_path):
+    # --trace keeps every row; what the run prints is the untraced golden
+    assert capture(name, cmd, "--trace", str(tmp_path / "trace.csv")) == expected(name, cmd)
 
 
 @pytest.mark.parametrize("name", NAMES)

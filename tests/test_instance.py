@@ -12,7 +12,7 @@ from dualmod.errors import (
     ZeroTotal,
 )
 
-from conftest import random_instance, value_tables
+from conftest import fraction_value, random_instance, value_tables
 
 
 def masks(ground, *labels):
@@ -524,7 +524,7 @@ class TestResidual:
                 prefix_masks = [sum(1 << u for u in order[:i]) for i in range(res.n + 1)]
                 for spec in (res.f, res.g, f, g):
                     values, den = spec.prefixes(order)
-                    assert [F(v, den) for v in values] == [spec.value(m) for m in prefix_masks]
+                    assert [F(v, den) for v in values] == [fraction_value(spec, m) for m in prefix_masks]
 
     def test_residual_chains_match_nested_marginals(self):
         # the nested definition: each peel wraps the previous residual's spec

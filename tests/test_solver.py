@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import dualmod as dm
-from dualmod.errors import DomainError, NotLinearCost, StructuralError, ZeroCostCoordinate
+from dualmod.errors import (
+    DomainError,
+    DualModError,
+    NotLinearCost,
+    SchemaError,
+    StructuralError,
+    ZeroCostCoordinate,
+)
 
 from conftest import (
     fd_hessian_max_eig,
@@ -239,6 +246,81 @@ class TestFrankWolfe:
                 x2, y2 = r2.allocation
                 assert x2 == y1 and y2 == x1
                 assert all(a * b == 1 for a, b in zip(r1.rho, r2.rho))
+
+
+def outcome(run, inst, cfg):
+    """The (type, message) of the package error that run(inst, cfg) raises, or None."""
+    try:
+        run(inst, cfg)
+    except DualModError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# (id, a fixture name or the (f, g) weights of two elements, variant, the error both paths raise)
+FAILING_RUNS = [
+    ("zero-cost-mid-run", "sec32", "fw", ZeroCostCoordinate),
+    ("not-linear-cost", "sec32", "greedypp", NotLinearCost),
+    ("short-initial", "p3", "fw", SchemaError),
+    *((f"cost-share-below-resolution-{variant}", ((1, 1), (1, F(1, 10**20))), variant, DomainError)
+      for variant in ("fw", "greedypp")),
+    *((f"density-beyond-binary64-{variant}", ((10**300, 10**290), (F(1, 10**10), 1)), variant, DomainError)
+      for variant in ("fw", "greedypp")),
+]
+
+
+class TestFinalIterate:
+    """``final_iterate`` runs ``solve``'s steps and keeps no rows: the same
+    final x, y and rho bit for bit, and the same error where a run fails."""
+
+    @pytest.mark.parametrize("arithmetic,T", [("binary64", 60), ("rational", 12)])
+    def test_matches_solve_bit_for_bit(self, arithmetic, T):
+        rng = np.random.default_rng(61)
+        multipart = 0
+        for n in [*range(2, 11)] * 2:
+            inst = random_instance(rng, n)
+            linear = dm.DualModularInstance(
+                ground=inst.ground, f=inst.f, g=dm.Linear(tuple(rand_frac(rng) for _ in range(n)))
+            )
+            multipart += dm.density_decomposition(inst).k > 1
+            shuffled = dm.Permutation(tuple(int(u) for u in rng.permutation(n)))
+            for start in (None, shuffled):
+                for variant, case in (("fw", inst), ("greedypp", linear)):
+                    cfg = dm.SolverConfig(
+                        iterations=T, variant=variant, arithmetic=arithmetic, initial_permutation=start
+                    )
+                    trace = dm.solve(case, cfg)
+                    x, y, rho = dm.final_iterate(case, cfg)
+                    # repr tells every float apart, -0.0 from 0.0 included
+                    assert repr((x, y, rho)) == repr((trace.final_x, trace.final_y, trace.final_rho))
+                    assert rho == tuple(a / b for a, b in zip(x, y))
+        assert multipart >= 5
+
+    @pytest.mark.parametrize(
+        "inst,variant,error", [r[1:] for r in FAILING_RUNS], ids=[r[0] for r in FAILING_RUNS]
+    )
+    def test_same_error_on_both_paths(self, request, inst, variant, error):
+        if isinstance(inst, str):
+            inst = request.getfixturevalue(inst)
+        else:
+            f, g = inst
+            inst = dm.DualModularInstance(
+                ground=dm.GroundSet(("a", "b")), f=dm.Linear(tuple(map(F, f))), g=dm.Linear(tuple(map(F, g)))
+            )
+        start = dm.Permutation((1, 0)) if error is SchemaError else None
+        cfg = dm.SolverConfig(iterations=10, variant=variant, initial_permutation=start)
+        traced = outcome(dm.solve, inst, cfg)
+        assert traced is not None and traced[0] is error
+        assert outcome(dm.final_iterate, inst, cfg) == traced
+
+    def test_first_zero_cost_share_is_named(self):
+        # the identity start gives y = (0, 0, 1): a and b have no density, a is named
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b", "c")), f=dm.Linear((F(1),) * 3), g=dm.Linear((F(0), F(0), F(1)))
+        )
+        for run in (dm.solve, dm.final_iterate):
+            with pytest.raises(ZeroCostCoordinate, match="^cost share of element a is zero"):
+                run(inst, dm.SolverConfig(iterations=3))
 
 
 class TestGreedyPlusPlus:

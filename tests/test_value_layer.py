@@ -2,13 +2,13 @@
 
 ``table(n)`` returns ``(values, den)`` with ``values[mask] == value(mask) * den``,
 and ``prefixes(chain)`` the same for the prefixes of a chain of distinct
-elements; every consumer reads those integers.  The tests here compare the
-tables and the prefix walks, over whole orders and shorter chains, with
-``value`` for each spec kind, and with each other over the spec's one
-denominator; permutation vertices with a walk that calls ``value`` once per
-prefix; and base-polytope membership with the Fraction subset-sum check it
-replaced.  ``value`` is itself the last prefix of a walk, so every kind is
-also checked against a Fraction value computed from its raw inputs.
+elements; every consumer reads those integers.  ``value`` is itself the last
+prefix of a walk, so the tests here compare ``value``, the tables and the
+prefix walks, over whole orders and shorter chains, with the Fraction value
+each kind's raw inputs give (``conftest.fraction_value``), and with each
+other over the spec's one denominator; permutation vertices with a walk
+that calls ``value`` once per prefix; and base-polytope membership with the
+Fraction subset-sum check it replaced.
 """
 
 from fractions import Fraction as F
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import dualmod as dm
 from dualmod.errors import SchemaError
 
-from conftest import random_allocation, random_instance, value_tables
+from conftest import fraction_value, random_allocation, random_instance, value_tables
 
 rationals = st.builds(F, st.integers(0, 40), st.integers(1, 12))
 
@@ -66,27 +66,6 @@ def specs(draw):
         spec = dm.residual_instance(inst, anchor).f
         assert isinstance(spec, dm.Marginal)
     return spec, n
-
-
-def fraction_value(spec, mask):
-    """The spec's value in Fractions from its raw inputs, without the integer layer."""
-    if isinstance(spec, dm.ExplicitTable):
-        return spec.values[mask]
-    if isinstance(spec, dm.ConcaveOfCardinality):
-        return spec.phi[mask.bit_count()]
-    if isinstance(spec, dm.Marginal):
-        expanded = spec.anchor | sum(1 << u for i, u in enumerate(spec.index_map) if mask >> i & 1)
-        return fraction_value(spec.base, expanded) - fraction_value(spec.base, spec.anchor)
-    if isinstance(spec, dm.EdgesInside):
-        return sum((w for u, v, w in spec.edges if mask >> u & 1 and mask >> v & 1), F(0))
-    if isinstance(spec, dm.Linear):
-        return sum((w for i, w in enumerate(spec.weights) if mask >> i & 1), F(0))
-    if isinstance(spec, dm.Scaled):
-        return spec.factor * fraction_value(spec.base, mask)
-    if isinstance(spec, dm.Perturbed):
-        return fraction_value(spec.base, mask) + spec.eta * mask.bit_count()
-    full = (1 << spec.n) - 1
-    return fraction_value(spec.base, full) - fraction_value(spec.base, full ^ mask)
 
 
 @st.composite
@@ -161,7 +140,7 @@ def test_table_is_value_over_one_denominator(case):
     values, den = spec.table(n)
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in values)
-    assert values == [spec.value(m) * den for m in range(1 << n)]
+    assert values == [fraction_value(spec, m) * den for m in range(1 << n)]
 
 
 def prefix_masks(order):
@@ -179,7 +158,7 @@ def test_prefixes_are_values_over_one_denominator(case, data):
     values, den = spec.prefixes(order)
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in values)
-    assert values == [spec.value(m) * den for m in prefix_masks(order)]
+    assert values == [fraction_value(spec, m) * den for m in prefix_masks(order)]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -294,7 +273,7 @@ class TestMembership:
         for _ in range(12):
             inst = dm.normalize(random_instance(rng, int(rng.integers(2, 7))))
             trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=50))
-            a = trace.final_allocation()
+            a = dm.Allocation(x=trace.final_x, y=trace.final_y)
             assert all(type(v) is float for v in a.x + a.y)
             for allocation in (a, dm.Allocation(x=a.x[::-1], y=a.y[::-1])):
                 report = dm.check_base_membership(inst, allocation, slack=1e-9)
