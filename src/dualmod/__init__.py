@@ -23,12 +23,10 @@ from .instance import (
     SetFunctionSpec,
     StructureReport,
     complement_instance,
-    evaluate,
     extremes,
     instance_from_json,
     instance_to_json,
     load_instance,
-    marginal,
     normalize,
     perturb_strict,
     residual_instance,

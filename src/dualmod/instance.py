@@ -5,7 +5,8 @@ rationals.  Several structured representations are supported (explicit
 tables, edge counting, linear weights, concave-of-cardinality) together
 with derived wrappers (scaling, per-element perturbation, complementation,
 marginal restriction).  Structural properties -- supermodularity of the
-reward, submodularity and strict monotonicity of the cost -- are *checked
+reward, submodularity and strict monotonicity of the cost -- are proven by
+a kind's construction where its inputs show them, and otherwise *checked
 on every second difference and every one-element step*, never assumed.
 
 Each spec gives its values as Python ints over its one positive
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     EmptyResidual,
@@ -124,6 +125,14 @@ def _over_common_den(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+PROPERTIES = ("supermodular", "submodular", "monotone", "strictly_monotone")
+
+
+def _proven(**holds: bool) -> dict:
+    """{property: True} for each property whose rule holds, in PROPERTIES order."""
+    return {p: True for p in PROPERTIES if holds.get(p)}
+
+
 def _prefix_masks(order: Sequence[int]) -> list[int]:
     """The n + 1 prefix masks of ``order``, the empty one first."""
     masks = [0]
@@ -145,6 +154,11 @@ class SetFunctionSpec:
     O(m + n) integer operations for m edges.  ``value(mask)`` is the last
     prefix of one walk over the elements of ``mask``.  ``check(n)`` raises
     :class:`SchemaError` unless the spec fits n elements; instances call it.
+
+    ``structure(n)`` maps each property of :data:`PROPERTIES` that the kind
+    proves on n elements, given its constructor's checks, to True.  A
+    property it cannot prove is left out, never False: a failure needs a
+    witness, and only :func:`verify_dual_modularity`'s scan finds one.
     """
 
     _n: Optional[int] = None  # the size of the ground set a kind is built for; None: it fits any
@@ -159,6 +173,9 @@ class SetFunctionSpec:
 
     def check(self, n: int) -> None:
         pass
+
+    def structure(self, n: int) -> dict:
+        return {}
 
     def to_json(self, n: int) -> dict:
         raise NotImplementedError
@@ -260,6 +277,19 @@ class EdgesInside(SetFunctionSpec):
             if not (0 <= u < n and 0 <= v < n):
                 raise SchemaError("edges", f"edge ({u}, {v}) outside ground set of size {n}")
 
+    def structure(self, n: int) -> dict:
+        # adding u gains u's loops plus its edges into S (w >= 0): never
+        # negative, and never smaller on a larger S; the same on every S when
+        # no edge between two elements is positive, and positive even on the
+        # empty set when u has a positive loop
+        looped = {u for u, v, w in self.edges if u == v and w > 0}
+        return _proven(
+            supermodular=True,
+            submodular=not any(w > 0 for u, v, w in self.edges if u != v),
+            monotone=True,
+            strictly_monotone=all(u in looped for u in range(n)),
+        )
+
     def to_json(self, n: int) -> dict:
         return {
             "kind": "edges_inside",
@@ -292,6 +322,11 @@ class Linear(SetFunctionSpec):
     def check(self, n: int) -> None:
         if len(self.weights) != n:
             raise SchemaError("weights", f"{len(self.weights)} weights, expected {n}")
+
+    def structure(self, n: int) -> dict:
+        # modular; adding u gains its weight, which is >= 0
+        return _proven(supermodular=True, submodular=True, monotone=True,
+                       strictly_monotone=all(w > 0 for w in self.weights))
 
     def to_json(self, n: int) -> dict:
         return {"kind": "linear", "weights": [format_rational(w) for w in self.weights]}
@@ -331,6 +366,17 @@ class ConcaveOfCardinality(SetFunctionSpec):
         if len(self.phi) != n + 1:
             raise SchemaError("phi", f"phi has {len(self.phi)} entries, expected {n + 1}")
 
+    def structure(self, n: int) -> dict:
+        # adding an element to a set of size k gains increment k, and the
+        # increments do not increase
+        increments = [b - a for a, b in zip(self.phi, self.phi[1:])]
+        return _proven(
+            supermodular=len(set(increments)) <= 1,
+            submodular=True,
+            monotone=all(d >= 0 for d in increments),
+            strictly_monotone=all(d > 0 for d in increments),
+        )
+
     def to_json(self, n: int) -> dict:
         return {"kind": "concave_of_cardinality", "phi": [format_rational(v) for v in self.phi]}
 
@@ -357,6 +403,13 @@ class Scaled(SetFunctionSpec):
 
     def check(self, n: int) -> None:
         self.base.check(n)
+
+    def structure(self, n: int) -> dict:
+        # a factor >= 0 keeps every inequality; only a positive one keeps a strict one
+        proven = self.base.structure(n)
+        if self.factor == 0:
+            proven.pop("strictly_monotone", None)
+        return proven
 
     def to_json(self, n: int) -> dict:
         return {"kind": "scaled", "base": self.base.to_json(n), "factor": format_rational(self.factor)}
@@ -390,6 +443,13 @@ class Perturbed(SetFunctionSpec):
     def check(self, n: int) -> None:
         self.base.check(n)
 
+    def structure(self, n: int) -> dict:
+        # eta |S| is modular and adds eta >= 0 to every step
+        proven = self.base.structure(n)
+        if self.eta > 0 and "monotone" in proven:
+            proven["strictly_monotone"] = True
+        return proven
+
     def to_json(self, n: int) -> dict:
         return {"kind": "perturbed", "base": self.base.to_json(n), "eta": format_rational(self.eta)}
 
@@ -417,6 +477,12 @@ class ComplementOf(SetFunctionSpec):
         if n != self.n:
             raise SchemaError("base", f"complement built for n={self.n}, asked for n={n}")
         self.base.check(n)
+
+    def structure(self, n: int) -> dict:
+        # h(S + u) - h(S) = base(V - S) - base(V - S - u): a step of base
+        # itself, from a set that shrinks as S grows
+        swap = {"supermodular": "submodular", "submodular": "supermodular"}
+        return _proven(**{swap.get(p, p): True for p in self.base.structure(n)})
 
     def to_json(self, n: int) -> dict:
         return {"kind": "complement_of", "base": self.base.to_json(n)}
@@ -465,16 +531,6 @@ class Marginal(SetFunctionSpec):
         return ExplicitTable(tuple(Fraction(v, den) for v in values)).to_json(n)
 
 
-def evaluate(spec: SetFunctionSpec, mask: int) -> Fraction:
-    """h(S) for the subset encoded by ``mask``; h(empty) is always 0."""
-    return spec.value(mask)
-
-
-def marginal(spec: SetFunctionSpec, s_mask: int, a_mask: int) -> Fraction:
-    """h(S | A) = h(S u A) - h(A); S and A may overlap."""
-    return spec.value(s_mask | a_mask) - spec.value(a_mask)
-
-
 # ---------------------------------------------------------------------------
 # instance
 # ---------------------------------------------------------------------------
@@ -484,8 +540,8 @@ def marginal(spec: SetFunctionSpec, s_mask: int, a_mask: int) -> Fraction:
 class DualModularInstance:
     """Ground set plus reward f (supermodular) and cost g (submodular).
 
-    The modularity and monotonicity properties are *claims* checked by
-    :func:`verify_dual_modularity`; construction only enforces positive
+    The modularity and monotonicity properties are *claims* that
+    :func:`verify_dual_modularity` proves or checks; construction only enforces positive
     totals (skipped for residual instances, whose reward total may vanish).
     """
 
@@ -597,21 +653,28 @@ def _first_monotonicity_violations(tab: list[int], n: int) -> tuple[Optional[tup
     return None, strict
 
 
-def _verify_tables(inst: DualModularInstance, max_n: Optional[int]) -> tuple[list[int], list[int]]:
-    check_size(inst.n, DEFAULT_VERIFY_LIMIT, max_n, "verify_dual_modularity")
-    # sums and second differences compare the same at any positive scale
-    (ftab, _), (gtab, _) = inst.tables()
-    return ftab, gtab
+def _structure_report(
+    ftab: Optional[list[int]],
+    gtab: Optional[list[int]],
+    n: int,
+    f_open: Collection[str] = PROPERTIES,
+    g_open: Collection[str] = PROPERTIES,
+) -> tuple[StructureReport, Optional[tuple[int, int]]]:
+    """The report, and the first step on which f does not strictly increase.
 
-
-def _structure_report(ftab: list[int], gtab: list[int], n: int) -> tuple[StructureReport, Optional[tuple[int, int]]]:
-    """The report, and the first step on which f does not strictly increase."""
-    f_weak, f_strict = _first_monotonicity_violations(ftab, n)
-    g_weak, g_strict = _first_monotonicity_violations(gtab, n)
+    Only the properties in ``f_open`` and ``g_open`` are scanned, each in
+    the order of the full scan (the default), so each witness is the full
+    scan's; the rest read as proven.  A table may be None when its function
+    has no property open.
+    """
+    f_steps = {"monotone", "strictly_monotone"}.intersection(f_open)
+    g_steps = {"monotone", "strictly_monotone"}.intersection(g_open)
+    f_weak, f_strict = _first_monotonicity_violations(ftab, n) if f_steps else (None, None)
+    g_weak, g_strict = _first_monotonicity_violations(gtab, n) if g_steps else (None, None)
     # insertion order fixes the order of the witnesses in the JSON report
     violations = {
-        "f_supermodular": _first_local_violation(ftab, n, 1),
-        "g_submodular": _first_local_violation(gtab, n, -1),
+        "f_supermodular": _first_local_violation(ftab, n, 1) if "supermodular" in f_open else None,
+        "g_submodular": _first_local_violation(gtab, n, -1) if "submodular" in g_open else None,
         "f_monotone": f_weak,
         "g_monotone": g_weak,
         "g_strictly_monotone": g_strict,
@@ -623,18 +686,40 @@ def _structure_report(ftab: list[int], gtab: list[int], n: int) -> tuple[Structu
     return report, f_strict
 
 
+def _proven_report(inst: DualModularInstance, max_n: Optional[int], f_needs: tuple[str, ...]) -> tuple[StructureReport, Optional[tuple[int, int]]]:
+    """:func:`_structure_report` scanning only what the specs' ``structure`` leaves open."""
+    n = inst.n
+    f_open = [p for p in f_needs if p not in inst.f.structure(n)]
+    g_open = [p for p in ("submodular", "monotone", "strictly_monotone") if p not in inst.g.structure(n)]
+    # the cap guards the scans alone; with nothing to scan, n = 0 still refuses a negative cap
+    check_size(n if f_open or g_open else 0, DEFAULT_VERIFY_LIMIT, max_n, "verify_dual_modularity")
+    # sums and second differences compare the same at any positive scale
+    ftab = inst.f.table(n)[0] if f_open else None
+    gtab = inst.g.table(n)[0] if g_open else None
+    return _structure_report(ftab, gtab, n, f_open, g_open)
+
+
 def verify_dual_modularity(inst: DualModularInstance, max_n: Optional[int] = None) -> StructureReport:
     """Exact check of the four structural hypotheses, with witnesses.
 
-    Super- and submodularity are checked on second differences, the local
-    lattice characterisation: h(S+u) + h(S+v) against h(S) + h(S+u+v) for
-    every pair u < v and every S avoiding both, C(n,2) 2^(n-2) checks per
-    function.  A witness is the first violating pair (S+u, S+v) in a fixed
-    scan order.  Monotonicity is checked on the n 2^(n-1) one-element steps.
-    Both tables are compared as integers with zero tolerance.  Ground sets
-    above the limit are refused, since the tables alone hold 2^n values.
+    A property that a spec proves by construction (``structure``) holds
+    without a scan: edges with weights >= 0 are supermodular and monotone,
+    linear weights >= 0 are modular and monotone, and a concave phi(|S|) is
+    submodular; scaling, perturbing and complementing carry those proofs
+    over (see each kind).  Explicit tables and marginals prove nothing.
+
+    Every other property is scanned on the function's integer table.  Super-
+    and submodularity are checked on second differences, the local lattice
+    characterisation: h(S+u) + h(S+v) against h(S) + h(S+u+v) for every pair
+    u < v and every S avoiding both, C(n,2) 2^(n-2) checks per function.  A
+    witness is the first violating pair (S+u, S+v) in a fixed scan order.
+    Monotonicity is checked on the n 2^(n-1) one-element steps.  Tables are
+    compared as integers with zero tolerance.  The size cap guards the scan
+    alone, since a table holds 2^n values: a ground set above it is refused
+    only when some property is left to scan, and an instance whose kinds
+    prove everything gets its report at any size.
     """
-    return _structure_report(*_verify_tables(inst, max_n), inst.n)[0]
+    return _proven_report(inst, max_n, ("supermodular", "monotone"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +737,13 @@ def complement_instance(inst: DualModularInstance, max_n: Optional[int] = None) 
 
     Requires a verified dual-modular instance whose reward is also strictly
     monotone; the swapped pair is then dual-modular again and the two
-    instances carry reciprocal density vectors.
+    instances carry reciprocal density vectors.  The check is the one
+    :func:`verify_dual_modularity` makes, with f's strict monotonicity
+    added: properties the specs prove are not scanned, and the size cap
+    applies only when something is left to scan.
     """
     n = inst.n
-    ftab, gtab = _verify_tables(inst, max_n)
-    report, f_strict = _structure_report(ftab, gtab, n)
+    report, f_strict = _proven_report(inst, max_n, ("supermodular", "monotone", "strictly_monotone"))
     if not report.dual_modular:
         if not report.g_strictly_monotone:
             raise NotStrictlyMonotone("g", report.witnesses.get("g_strictly_monotone"))

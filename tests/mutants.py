@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 SOLVER = "tests/test_solver.py"
 CLI = "tests/test_cli.py"
+STRUCTURE = "tests/test_structure.py"
 
 MUTANTS = [
     # the local second-difference scan of verify
@@ -47,6 +48,63 @@ MUTANTS = [
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv]:",
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv] + 1:",
            ("tests/test_verify_local.py",)),
+    # structure proven by construction: a rule that claims too much reports a
+    # property the scan refutes; one that claims too little refuses a proven
+    # instance above the cap
+    Mutant("edges-supermodularity-unproven", "instance.py",
+           "supermodular=True,\n            submodular=not any", "supermodular=False,\n            submodular=not any",
+           (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
+    Mutant("edges-submodular-with-a-pair-edge", "instance.py",
+           "submodular=not any(w > 0 for u, v, w in self.edges if u != v)", "submodular=True",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("edges-monotonicity-unproven", "instance.py",
+           "monotone=True,\n            strictly_monotone=all(u in looped", "monotone=False,\n            strictly_monotone=all(u in looped",
+           (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
+    Mutant("edges-strict-with-one-loop", "instance.py",
+           "strictly_monotone=all(u in looped for u in range(n))", "strictly_monotone=any(u in looped for u in range(n))",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("linear-modularity-unproven", "instance.py",
+           "_proven(supermodular=True, submodular=True, monotone=True,", "_proven(supermodular=True, submodular=False, monotone=True,",
+           (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
+    Mutant("linear-strict-with-a-zero-weight", "instance.py",
+           "strictly_monotone=all(w > 0 for w in self.weights)", "strictly_monotone=all(w >= 0 for w in self.weights)",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("concave-supermodular-with-unequal-steps", "instance.py",
+           "supermodular=len(set(increments)) <= 1", "supermodular=True",
+           (f"{STRUCTURE}::test_proofs_agree_with_the_full_scan",)),
+    Mutant("concave-submodularity-unproven", "instance.py",
+           "submodular=True,\n            monotone=all(d >= 0", "submodular=False,\n            monotone=all(d >= 0",
+           (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
+    Mutant("concave-monotone-with-a-falling-step", "instance.py",
+           "monotone=all(d >= 0 for d in increments)", "monotone=any(d >= 0 for d in increments)",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("concave-strict-with-a-flat-step", "instance.py",
+           "strictly_monotone=all(d > 0 for d in increments)", "strictly_monotone=all(d >= 0 for d in increments)",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("scaled-strict-at-factor-zero", "instance.py",
+           "if self.factor == 0:", "if False:",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("perturbed-strict-at-eta-zero", "instance.py",
+           'if self.eta > 0 and "monotone" in proven:', 'if "monotone" in proven:',
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("perturbed-strict-over-a-non-monotone-base", "instance.py",
+           'if self.eta > 0 and "monotone" in proven:', "if self.eta > 0:",
+           (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
+    Mutant("complement-keeps-modularity", "instance.py",
+           "swap.get(p, p): True", "p: True",
+           (f"{STRUCTURE}::test_proofs_agree_with_the_full_scan",)),
+    # the scans that verify and complement still run, and the cap that guards them
+    Mutant("cap-guards-proven-instances", "instance.py",
+           "check_size(n if f_open or g_open else 0,", "check_size(n,",
+           (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
+    Mutant("negative-cap-passes-with-nothing-to-scan", "instance.py",
+           "    check_size(n if f_open or g_open else 0, DEFAULT_VERIFY_LIMIT, max_n",
+           "    (f_open or g_open) and check_size(n, DEFAULT_VERIFY_LIMIT, max_n",
+           (f"{STRUCTURE}::test_negative_cap_refused_with_nothing_to_scan",)),
+    Mutant("complement-skips-reward-strictness", "instance.py",
+           'report, f_strict = _proven_report(inst, max_n, ("supermodular", "monotone", "strictly_monotone"))',
+           'report, f_strict = _proven_report(inst, max_n, ("supermodular", "monotone"))',
+           ("tests/test_instance.py::TestComplement::test_requires_strict_reward",)),
     # the exact value layer and prefix walks; ``value`` is itself a walk, so a
     # walk is checked against the Fraction oracle of the raw inputs
     Mutant("perturbed-sizes-off-by-one", "instance.py",

@@ -66,46 +66,52 @@ class TestGroundSet:
 class TestEvaluate:
     def test_table_values(self, sec32):
         g = sec32.ground
-        assert dm.evaluate(sec32.f, masks(g, "a", "w")) == 1
-        assert dm.evaluate(sec32.f, g.full_mask) == 2
-        assert dm.evaluate(sec32.g, masks(g, "a", "w")) == 1
-        assert dm.evaluate(sec32.g, g.full_mask) == 3
+        assert sec32.f.value(masks(g, "a", "w")) == 1
+        assert sec32.f.value(g.full_mask) == 2
+        assert sec32.g.value(masks(g, "a", "w")) == 1
+        assert sec32.g.value(g.full_mask) == 3
 
     def test_empty_set_is_zero(self, sec32, p3, tri_iso):
         for inst in (sec32, p3, tri_iso):
-            assert dm.evaluate(inst.f, 0) == 0
-            assert dm.evaluate(inst.g, 0) == 0
+            assert inst.f.value(0) == 0
+            assert inst.g.value(0) == 0
 
     def test_edges_inside_path(self, p3):
         # count edges with both endpoints inside, by enumeration
         edges = [(0, 1), (1, 2)]
         for mask in range(8):
             expected = sum(1 for u, v in edges if mask >> u & 1 and mask >> v & 1)
-            assert dm.evaluate(p3.f, mask) == expected
+            assert p3.f.value(mask) == expected
 
     def test_explicit_table_out_of_range(self, sec32):
         with pytest.raises(SchemaError):
-            dm.evaluate(sec32.f, 8)
+            sec32.f.value(8)
+
+
+def marginal_value(spec, s_mask, a_mask):
+    """h(S | A) = h(S u A) - h(A); S and A may overlap."""
+    return spec.value(s_mask | a_mask) - spec.value(a_mask)
 
 
 class TestMarginal:
     def test_reward_marginal(self, sec32):
         g = sec32.ground
-        assert dm.marginal(sec32.f, masks(g, "b"), masks(g, "a", "w")) == 1
+        assert marginal_value(sec32.f, masks(g, "b"), masks(g, "a", "w")) == 1
 
     def test_cost_marginal(self, sec32):
         g = sec32.ground
-        assert dm.marginal(sec32.g, masks(g, "b"), masks(g, "a", "w")) == 2
+        assert marginal_value(sec32.g, masks(g, "b"), masks(g, "a", "w")) == 2
 
     def test_marginal_over_empty_prefix(self, sec32):
         for s in range(8):
-            assert dm.marginal(sec32.f, s, 0) == dm.evaluate(sec32.f, s)
+            assert marginal_value(sec32.f, s, 0) == sec32.f.value(s)
 
     def test_union_semantics(self, sec32):
         g = sec32.ground
         s = masks(g, "a", "b")
         a = masks(g, "a", "w")
-        assert dm.marginal(sec32.f, s, a) == dm.evaluate(sec32.f, s | a) - dm.evaluate(sec32.f, a)
+        # S and A share a: f({a, w, b}) - f({a, w}) = 2 - 1
+        assert marginal_value(sec32.f, s, a) == 1
 
 
 class TestSpecValidation:
@@ -191,14 +197,9 @@ class TestVerify:
         assert exc.value.field == "max_n"
 
     def test_default_cap(self):
-        n = dm.instance.DEFAULT_VERIFY_LIMIT + 1
-        inst = dm.DualModularInstance(
-            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
-            f=dm.Linear(tuple(F(1) for _ in range(n))),
-            g=dm.Linear(tuple(F(1) for _ in range(n))),
-        )
+        # edges as a cost: no kind proves it submodular, so verify must scan
         with pytest.raises(dm.errors.GroundSetTooLarge):
-            dm.verify_dual_modularity(inst)
+            dm.verify_dual_modularity(_scanned_instance(dm.instance.DEFAULT_VERIFY_LIMIT + 1))
 
     @pytest.mark.parametrize("which", ["f", "g"])
     def test_strict_decrease_witness(self, which):
@@ -235,9 +236,17 @@ def _ones_instance(n):
     )
 
 
+def _scanned_instance(n):
+    """A linear reward and an edge-counting cost: the cost's submodularity
+    is no kind's proof, so verify scans it (n >= 2)."""
+    ones = _ones_instance(n)
+    cost = dm.EdgesInside(tuple((u, u, F(1)) for u in range(n)) + ((0, 1, F(1)),))
+    return dm.DualModularInstance(ground=ones.ground, f=ones.f, g=cost)
+
+
 # every brute-force entry point with its default cap and the name it reports
 SIZE_GATES = [
-    ("verify_dual_modularity", dm.instance.DEFAULT_VERIFY_LIMIT, lambda n, cap: dm.verify_dual_modularity(_ones_instance(n), cap)),
+    ("verify_dual_modularity", dm.instance.DEFAULT_VERIFY_LIMIT, lambda n, cap: dm.verify_dual_modularity(_scanned_instance(n), cap)),
     ("maximal_densest_subset", dm.instance.DEFAULT_DECOMP_LIMIT, lambda n, cap: dm.density_decomposition(_ones_instance(n), cap)),
     (
         "check_base_membership",
@@ -312,12 +321,26 @@ class TestComplement:
         assert comp.f.value(3) == inst.g.value(3)
 
     def test_tabulates_once(self, monkeypatch):
+        # explicit tables prove nothing, so each is scanned from one table
+        calls = []
+        table = dm.ExplicitTable.table
+        monkeypatch.setattr(dm.ExplicitTable, "table", lambda spec, n: calls.append(spec) or table(spec, n))
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("x", "y")),
+            f=dm.ExplicitTable((F(0), F(2), F(1), F(3))),
+            g=dm.ExplicitTable((F(0), F(1), F(1), F(2))),
+        )
+        dm.complement_instance(inst)
+        assert calls == [inst.f, inst.g]
+
+    def test_proven_instance_tabulates_nothing(self, monkeypatch):
         calls = []
         table = dm.Linear.table
         monkeypatch.setattr(dm.Linear, "table", lambda spec, n: calls.append(spec) or table(spec, n))
         inst = self._strict_instance()
         dm.complement_instance(inst)
-        assert calls == [inst.f, inst.g]
+        dm.verify_dual_modularity(inst)
+        assert calls == []
 
     def test_requires_strict_reward(self, p3):
         # path-graph reward vanishes on singletons, so it is not strictly monotone
