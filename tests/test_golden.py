@@ -27,7 +27,7 @@ from dualmod.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FIXTURES = os.path.join(os.path.dirname(dm.__file__), "fixtures")
-NAMES = ("hardness", "p3", "sec32", "tri_iso")
+NAMES = ("club8", "hardness", "p3", "sec32", "tri_iso")
 COMMANDS = {
     "verify": ("verify",),
     "decompose": ("decompose",),
@@ -40,7 +40,7 @@ COMMANDS = {
 }
 CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
 SOLVES = [(name, cmd) for name, cmd in CASES if COMMANDS[cmd][0] == "solve"]
-TRACED = ("p3", "tri_iso")
+TRACED = ("club8", "p3", "tri_iso")
 
 
 def argv(name: str, cmd: str, *extra: str) -> list[str]:
