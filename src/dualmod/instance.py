@@ -133,14 +133,6 @@ def _proven(**holds: bool) -> dict:
     return {p: True for p in PROPERTIES if holds.get(p)}
 
 
-def _prefix_masks(order: Sequence[int]) -> list[int]:
-    """The n + 1 prefix masks of ``order``, the empty one first."""
-    masks = [0]
-    for u in order:
-        masks.append(masks[-1] | 1 << u)
-    return masks
-
-
 class SetFunctionSpec:
     """Base of every set-function representation.
 
@@ -206,7 +198,7 @@ class ExplicitTable(SetFunctionSpec):
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         values, den = self._cleared
-        return [values[m] for m in _prefix_masks(order)], den
+        return [values[m] for m in accumulate((1 << u for u in order), int.__or__, initial=0)], den
 
     def check(self, n: int) -> None:
         if len(self.values) != (1 << n):
@@ -825,10 +817,11 @@ def extremes(inst: DualModularInstance) -> Extremes:
 
     Dual-modularity pins where the extremes sit: supermodular marginals are
     smallest on the empty prefix and largest on the full one; submodular
-    marginals the other way round.  For n <= 7 the closed forms are
-    cross-checked against every marginal h(u | A) with u not in A.  Each such
-    pair is the prefix-and-next step of some permutation, so this is the set
-    of marginals that all n! permutation vertices take.
+    marginals the other way round.  Where ``structure`` proves f
+    supermodular and g submodular the closed forms are theorems; otherwise,
+    for n <= 7, they are cross-checked against every marginal h(u | A) with
+    u not in A.  Each such pair is the prefix-and-next step of some
+    permutation, so this is the set of marginals all n! vertices take.
     """
     n = inst.n
     full = inst.ground.full_mask
@@ -840,7 +833,7 @@ def extremes(inst: DualModularInstance) -> Extremes:
     g_min = min(g_total - g.value(full ^ (1 << u)) for u in range(n))
     g_max = max(g.value(1 << u) for u in range(n))
 
-    if n <= 7:
+    if n <= 7 and not ("supermodular" in f.structure(n) and "submodular" in g.structure(n)):
         (ftab, df), (gtab, dg) = inst.tables()
         steps = [(a, a | 1 << u) for a in range(1 << n) for u in range(n) if not a >> u & 1]
         seen_f = [ftab[b] - ftab[a] for a, b in steps]

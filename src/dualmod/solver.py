@@ -17,8 +17,11 @@ A run evaluates f and g only at the masks it visits, each mask once, and
 builds no table of all 2^n values, so the ground set has no size limit
 here.  The prefixes of a chosen permutation are filled together: the first
 order with an unstored prefix is walked once, in exact integers, and all
-its n + 1 values are stored.  Greedy++'s one-element removals from each
-remaining set are evaluated one mask at a time, each by one chain walk.
+its n + 1 values are stored.  Each step mixes the differences of the stored
+prefixes straight into the new iterate.  A function of |S| alone has the
+same marginal at position i of every order, so it is walked once per run.
+Greedy++'s one-element removals from each remaining set are evaluated one
+mask at a time, each by one chain walk.
 
 Both variants run as one step generator.  ``solve`` (and ``frank_wolfe``,
 ``greedy_plus_plus``) keeps one ``TraceRow`` per step, with the objective
@@ -41,13 +44,13 @@ from typing import Optional, Sequence
 from .divergence import QUADRATIC, DivergenceKind, HockeyStick
 from .errors import DomainError, NotLinearCost, SchemaError, StructuralError
 from .instance import (
+    ComplementOf,
     ConcaveOfCardinality,
     DualModularInstance,
     Linear,
     Perturbed,
     Scaled,
     SetFunctionSpec,
-    _prefix_masks,
     extremes,
 )
 from .permutation import Permutation, density_order, density_ratios, marginals, sort_by_density, vertex
@@ -193,22 +196,30 @@ _DEN_BOUND = 2**1022
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
-    ``vertex(order)`` reads the n + 1 prefixes of order; the first time one
-    of them is not stored, one ``spec.prefixes`` walk stores all n + 1.
+    ``vertex(order)`` is the marginal vector of order, and ``mix(order, x,
+    keep, gamma)`` is the step ``keep * x + gamma * vertex(order)``, written
+    straight into a new iterate from the stored prefixes.  The first time a
+    prefix of order is not stored, one ``spec.prefixes`` walk converts and
+    stores all n + 1 values and takes the vertex in the same pass.  A
+    size-only function (:func:`_size_only`) has the same marginal at
+    position i of every order, so it is walked once per run and every
+    later order reads that walk's marginals by position.
     Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
     stores an unstored mask from one walk over the chain of its elements.
     In binary64 mode a value is stored as a float, the correctly rounded
     exact value (one beyond the binary64 range raises :class:`DomainError`);
     in rational mode as a ``Fraction``.  A Frank-Wolfe step visits n + 1
     prefixes and a Greedy++ step at most n^2 masks, so T steps hold at most
-    min(2^n, T n^2) values.
+    min(2^n, T n^2) values; a size-only function holds its one walk's
+    n + 1 values and Greedy++'s queries.
 
     Two distinct values that round to one float give a share of 0 over a
     nonzero exact marginal, and ``vertex`` raises :class:`DomainError` on
     such a share.  Every value is an integer over the spec's one
     denominator, and two distinct integers below 2^52 in magnitude over a
     denominator of at most 2^1022 round to distinct floats, so that share
-    is looked for only once a stored value is outside those bounds.
+    is looked for only once a stored value is outside those bounds; from
+    then on ``mix`` takes its vertex from ``vertex``.
     """
 
     def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str, labels: Sequence[str]):
@@ -220,40 +231,92 @@ class _Memo(dict):
         self._exact = operator.truediv if as_float else Fraction
         self._as_float = as_float
         self._unresolved = False  # binary64: some stored value is outside the bounds above
+        self._size_only = _size_only(spec)
+        self._by_position = None  # a size-only function's marginals by position, from its walk
 
     def vertex(self, order: tuple) -> list:
-        get = self.get  # no __missing__: an unstored prefix reads None
         out = [0] * len(order)
-        prefix = 0
-        prev = get(0)
-        if prev is None:
-            return self._walk(order)
-        for u in order:
-            prefix |= 1 << u
-            cur = get(prefix)
-            if cur is None:
+        steps = self._by_position
+        if steps is not None:
+            for u, step in zip(order, steps):
+                out[u] = step
+        else:
+            get = self.get  # no __missing__: an unstored prefix reads None
+            prefix = 0
+            prev = get(0)
+            if prev is None:
                 return self._walk(order)
-            out[u] = cur - prev
-            prev = cur
-        return self._checked(order, out) if self._unresolved else out
+            for u in order:
+                prefix |= 1 << u
+                cur = get(prefix)
+                if cur is None:
+                    return self._walk(order)
+                out[u] = cur - prev
+                prev = cur
+        return self._checked(order, out)
+
+    def mix(self, order: tuple, x: list, keep, gamma) -> list:
+        """[keep * x[u] + gamma * vertex(order)[u] for each u], as a new list."""
+        if self._unresolved:
+            c = self.vertex(order)
+        else:
+            out = [0] * len(order)
+            steps = self._by_position
+            if steps is not None:
+                for u, step in zip(order, steps):
+                    out[u] = keep * x[u] + gamma * step
+                return out
+            get = self.get
+            prefix = 0
+            prev = self[0]  # the run's first vertex walked, so the empty set is stored
+            for u in order:
+                prefix |= 1 << u
+                cur = get(prefix)
+                if cur is None:
+                    c = self._walk(order)
+                    break
+                out[u] = keep * x[u] + gamma * (cur - prev)
+                prev = cur
+            else:
+                return out
+        return [keep * xu + gamma * cu for xu, cu in zip(x, c)]
 
     def _walk(self, order) -> list:
+        """The vertex of order from one walk, which stores its n + 1 prefix values."""
         ints, den = self._spec.prefixes(order)
-        return self._checked(order, marginals(order, self._store(_prefix_masks(order), ints, den)))
+        exact = self._exact
+        out = [0] * len(order)
+        prefix = 0
+        try:
+            prev = self[0] = exact(ints[0], den)
+            for u, v in zip(order, ints[1:]):
+                prefix |= 1 << u
+                cur = self[prefix] = exact(v, den)
+                out[u] = cur - prev
+                prev = cur
+        except OverflowError:
+            raise self._out_of_range() from None
+        self._gate(ints, den)
+        if self._size_only:
+            self._by_position = [out[u] for u in order]
+        return self._checked(order, out)
 
     def __missing__(self, mask: int):
         ints, den = self._spec.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
-        return self._store([mask], ints[-1:], den)[0]
-
-    def _store(self, masks, ints, den) -> list:
         try:
-            values = [self._exact(v, den) for v in ints]
+            value = self[mask] = self._exact(ints[-1], den)
         except OverflowError:
-            raise DomainError(f"{self._name}: a value exceeds the binary64 range") from None
-        self.update(zip(masks, values))
+            raise self._out_of_range() from None
+        self._gate(ints[-1:], den)
+        return value
+
+    def _out_of_range(self) -> DomainError:
+        return DomainError(f"{self._name}: a value exceeds the binary64 range")
+
+    def _gate(self, ints, den) -> None:
+        """Open the share check once a stored value is outside the bounds above."""
         if self._as_float and not self._unresolved:
             self._unresolved = den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
-        return values
 
     def _checked(self, order, c) -> list:
         """The vertex c of order, unless one of its shares is 0 over a nonzero exact marginal."""
@@ -337,10 +400,9 @@ def _steps(inst: DualModularInstance, cfg: SolverConfig, variant: str):
         rho = densities(x, y)
         order = _removal_order(inst.ground.full_mask, x, f, gamma) if greedy else density_order(rho)
         yield k, rho, order, x, y
-        c, d = f.vertex(order), g.vertex(order)
         keep = 1 - gamma
-        x = [keep * xu + gamma * cu for xu, cu in zip(x, c)]
-        y = [keep * yu + gamma * du for yu, du in zip(y, d)]
+        x = f.mix(order, x, keep, gamma)
+        y = g.mix(order, y, keep, gamma)
     return x, y, densities(x, y)
 
 
@@ -432,6 +494,14 @@ def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]
         if len(incs) == 1:
             return [next(iter(incs))] * n
     return None
+
+
+def _size_only(spec: SetFunctionSpec) -> bool:
+    """Whether spec is phi(|S|), or scaled, perturbed or complemented phi(|S|): a
+    function of |S| alone, whose walks of any two orders give the same prefixes."""
+    while isinstance(spec, (Scaled, Perturbed, ComplementOf)):
+        spec = spec.base
+    return isinstance(spec, ConcaveOfCardinality)
 
 
 def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 SOLVER = "tests/test_solver.py"
 CLI = "tests/test_cli.py"
+VALUES = "tests/test_solver_values.py"
 STRUCTURE = "tests/test_structure.py"
 
 MUTANTS = [
@@ -132,8 +133,43 @@ MUTANTS = [
            (f"{CLI}::TestErrorPaths::test_boolean_endpoint",)),
     # the solver
     Mutant("memo-keeps-nothing", "solver.py",
-           "self.update(zip(masks, values))", "pass",
+           "cur = self[prefix] = exact(v, den)", "cur = exact(v, den)",
            ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
+    # the step mixes stored prefixes, or a size-only function's marginals by
+    # position, straight into the iterate
+    Mutant("size-path-for-every-kind", "solver.py",
+           "return isinstance(spec, ConcaveOfCardinality)", "return True",
+           (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_memo_matches_full_table_walk")),
+    Mutant("size-path-for-unequal-linear", "solver.py",
+           "return isinstance(spec, ConcaveOfCardinality)", "return isinstance(spec, (ConcaveOfCardinality, Linear))",
+           (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("size-only-walked-again", "solver.py",
+           "self._by_position = [out[u] for u in order]", "pass",
+           (f"{VALUES}::test_each_mask_evaluated_at_most_once",)),
+    Mutant("mix-ignores-unresolved", "solver.py",
+           "if self._unresolved:\n            c = self.vertex(order)", "if False:\n            c = self.vertex(order)",
+           (f"{VALUES}::test_mix_checks_stored_shares_once_values_are_unresolved",
+            f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("mix-position-vector-reversed", "solver.py",
+           "for u, step in zip(order, steps):\n                    out[u] = keep",
+           "for u, step in zip(order, steps[::-1]):\n                    out[u] = keep",
+           (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("vertex-position-vector-reversed", "solver.py",
+           "for u, step in zip(order, steps):\n                out[u] = step",
+           "for u, step in zip(order, steps[::-1]):\n                out[u] = step",
+           (f"{VALUES}::test_step_matches_vertex_then_mix",)),
+    Mutant("mix-miss-reads-a-stale-prefix", "solver.py",
+           "out[u] = keep * x[u] + gamma * (cur - prev)\n                prev = cur",
+           "out[u] = keep * x[u] + gamma * (cur - prev)",
+           (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_mix_is_the_vertex_mixed_in")),
+    # extremes cross-checks only what the structure proofs leave open
+    Mutant("extremes-always-scans", "instance.py",
+           "if n <= 7 and not (", "if n <= 7 and True or (",
+           ("tests/test_instance.py::TestExtremes::test_proven_instance_builds_no_table",)),
+    Mutant("extremes-skip-on-one-proof", "instance.py",
+           '"supermodular" in f.structure(n) and "submodular" in g.structure(n)',
+           '"supermodular" in f.structure(n) or "submodular" in g.structure(n)',
+           ("tests/test_instance.py::TestExtremes::test_submodular_reward_caught_up_to_seven",)),
     Mutant("memo-fractions-in-binary64", "solver.py",
            "self._exact = operator.truediv if as_float else Fraction", "self._exact = Fraction",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
@@ -212,8 +248,8 @@ MUTANTS = [
     # one denominator per spec: explicit tables walk their cleared cache, and
     # a marginal table indexes its base's table
     Mutant("explicit-walk-in-mask-order", "instance.py",
-           "return [values[m] for m in _prefix_masks(order)], den",
-           "return [values[m] for m in _prefix_masks(sorted(order))], den",
+           "accumulate((1 << u for u in order), int.__or__, initial=0)",
+           "accumulate((1 << u for u in sorted(order)), int.__or__, initial=0)",
            ("tests/test_value_layer.py::test_table_and_walks_share_one_denominator",)),
     Mutant("marginal-table-without-anchor", "instance.py",
            "masks = [self.anchor]  #", "masks = [0]  #",

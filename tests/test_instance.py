@@ -415,6 +415,20 @@ class TestExtremes:
             inst = random_instance(rng, n)
             assert dm.extremes(inst) == extremes_by_permutations(inst)
 
+    def test_proven_instance_builds_no_table(self, monkeypatch):
+        # f proven supermodular and g submodular: the closed forms are theorems, and no table is built
+        def table(self, n):
+            raise AssertionError(f"{type(self).__name__}.table called")
+
+        for cls in (dm.EdgesInside, dm.Perturbed, dm.ConcaveOfCardinality, dm.Scaled):
+            monkeypatch.setattr(cls, "table", table)
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 4, 6, 7, 7):
+            inst = random_instance(rng, n)
+            assert dm.extremes(inst) == extremes_by_permutations(inst)
+            normalized = dm.normalize(inst)
+            assert dm.extremes(normalized) == extremes_by_permutations(normalized)
+
     @pytest.mark.parametrize("n,raises", [(2, True), (7, True), (8, False)])
     def test_submodular_reward_caught_up_to_seven(self, n, raises):
         # a submodular reward has its smallest marginal on the full prefix,

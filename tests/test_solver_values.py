@@ -5,16 +5,26 @@ a per-run memo that stores all prefixes of an order from one integer walk.
 The references here repeat the same iteration reading the values from full
 2^n tables (n <= 8), or from a fresh ``spec.value`` call on every visit
 (n = 21, where a table would hold two million values each), and must give
-identical rows and final x, y.
+identical rows and final x, y.  The step itself is checked against the one
+it replaced, which took each vertex and then mixed it in.
 """
 
+import functools
+import operator
 from fractions import Fraction as F
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
-from dualmod.solver import TraceRow, _phi_values
+from dualmod import solver
+from dualmod.errors import DomainError, DualModError
+from dualmod.permutation import marginals
+from dualmod.rational import format_rational
+from dualmod.solver import TraceRow, _Memo, _phi_values, _size_only
 
 from conftest import rand_frac, random_instance, value_tables
 
@@ -124,13 +134,22 @@ def prefix_set(order):
     return out
 
 
+def size_only(spec):
+    """Whether spec is phi(|S|) under scaling, perturbing and complementing."""
+    while isinstance(spec, (dm.Scaled, dm.Perturbed, dm.ComplementOf)):
+        spec = spec.base
+    return isinstance(spec, dm.ConcaveOfCardinality)
+
+
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
 def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
     """Every value comes from a ``prefixes`` call.  One over all n elements is
-    a walk, and a shorter chain is a query for its last mask.  Frank-Wolfe
-    makes only walks, each for an order with an unstored prefix, and no
-    chain query.  Greedy++'s removal queries ask for each mask at most once,
-    and never for a mask a walk stored."""
+    a walk, and a shorter chain is a query for its last mask.  A size-only
+    function is walked exactly once, on the first order.  Any other is
+    walked only for an order with an unstored prefix, and its walks store
+    exactly the prefixes the run visits.  Frank-Wolfe makes no chain query.
+    Greedy++'s removal queries ask for each mask at most once, and never for
+    a mask a walk stored."""
     events = []
     n = 10
 
@@ -143,10 +162,19 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
 
         monkeypatch.setattr(cls, "prefixes", prefixes)
 
-    for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality):
+    for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality, dm.ComplementOf):
         recording(cls)
     rng = np.random.default_rng(53)
-    for inst, variant in cases(rng, n):
+    runs = cases(rng, n)
+    # a size-only reward too: the complement of a concave cost is supermodular
+    # (over a copy of the cost, so that its inner walks are not the cost's)
+    (inst, _), (linear, _) = runs
+    reward = dm.ComplementOf(dm.Perturbed(inst.g.base, inst.g.eta), n)
+    runs += [
+        (dm.DualModularInstance(ground=inst.ground, f=reward, g=inst.g), "fw"),
+        (dm.DualModularInstance(ground=inst.ground, f=reward, g=linear.g), "greedypp"),
+    ]
+    for inst, variant in runs:
         events.clear()
         cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
         trace = dm.solve(inst, cfg)
@@ -169,13 +197,231 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
                     mask = sum(1 << u for u in chain)
                     assert mask not in stored
                     stored.add(mask)
-            assert walked and len(walked) == len(set(walked))
-            if variant == "fw":
-                assert stored == visited
+            if size_only(spec):
+                # every later order reads the first walk's marginals by position
+                assert walked == [orders[0].order]
             else:
+                assert walked and len(walked) == len(set(walked))
+            if variant == "greedypp" and spec is inst.f:
+                # the removal queries visit every prefix of the order they build
                 assert visited <= stored
+            elif not size_only(spec):
+                assert stored == visited
         if variant == "fw":
             # Frank-Wolfe reads every value off a walk, nested specs included
             assert all(len(chain) == n for _, chain in events)
         else:
             assert any(who is inst.f and len(chain) < n for who, chain in events)
+
+
+# ---------------------------------------------------------------------------
+# the step against the one it replaced: vertex, then two list comprehensions
+# ---------------------------------------------------------------------------
+
+
+class VertexThenMix(dict):
+    """The memo and step the solver ran before ``_Memo.mix``, kept as an oracle.
+
+    ``vertex`` reads an order's stored prefixes, and a miss walks the order
+    and stores all n + 1 values; every function, size-only or not, walks
+    each order with an unstored prefix.  ``mix`` takes the vertex and then
+    mixes it in with a list comprehension.
+    """
+
+    def __init__(self, spec, as_float, name, labels):
+        super().__init__()
+        self._spec = spec
+        self._name = name
+        self._labels = labels
+        self._exact = operator.truediv if as_float else F
+        self._as_float = as_float
+        self._unresolved = False
+
+    def mix(self, order, x, keep, gamma):
+        c = self.vertex(order)
+        return [keep * xu + gamma * cu for xu, cu in zip(x, c)]
+
+    def vertex(self, order):
+        get = self.get
+        out = [0] * len(order)
+        prefix = 0
+        prev = get(0)
+        if prev is None:
+            return self._walk(order)
+        for u in order:
+            prefix |= 1 << u
+            cur = get(prefix)
+            if cur is None:
+                return self._walk(order)
+            out[u] = cur - prev
+            prev = cur
+        return self._checked(order, out) if self._unresolved else out
+
+    def _walk(self, order):
+        ints, den = self._spec.prefixes(order)
+        masks = list(accumulate((1 << u for u in order), operator.or_, initial=0))
+        return self._checked(order, marginals(order, self._store(masks, ints, den)))
+
+    def __missing__(self, mask):
+        ints, den = self._spec.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
+        return self._store([mask], ints[-1:], den)[0]
+
+    def _store(self, masks, ints, den):
+        try:
+            values = [self._exact(v, den) for v in ints]
+        except OverflowError:
+            raise DomainError(f"{self._name}: a value exceeds the binary64 range") from None
+        self.update(zip(masks, values))
+        if self._as_float and not self._unresolved:
+            self._unresolved = den > 2**1022 or max(ints) >= 2**52 or min(ints) <= -(2**52)
+        return values
+
+    def _checked(self, order, c):
+        if self._unresolved and 0.0 in c:
+            ints, den = self._spec.prefixes(order)
+            role = "reward" if self._name == "f" else "cost"
+            for u, exact in enumerate(marginals(order, ints)):
+                if c[u] == 0 and exact != 0:
+                    raise DomainError(
+                        f"{self._name}: {role} share of element {self._labels[u]} is "
+                        f"{format_rational(F(exact, den))}, below binary64 resolution "
+                        f"at the values of {self._name} around it, so it rounds to 0"
+                    )
+        return c
+
+
+small = st.sampled_from([F(1, 3), F(1), F(2), F(5, 2), F(7)])
+# factors that take values past 2^52 or the binary64 range, or a denominator past 2^1022
+huge = st.sampled_from([F(2**60), F(10**300), F(1, 2**1030)])
+scales = st.one_of(st.sampled_from([F(1, 2), F(3)]), huge)
+
+
+def wrapped(inner, n):
+    return st.one_of(
+        st.builds(dm.Scaled, inner, scales),
+        st.builds(dm.Perturbed, inner, small),
+        inner.map(lambda base: dm.ComplementOf(base, n)),
+    )
+
+
+def nested(leaves, n):
+    once = st.one_of(leaves, wrapped(leaves, n))
+    return st.one_of(once, wrapped(once, n))
+
+
+def past_resolution(specs):
+    """specs scaled past the bounds of binary64 resolution, some of them lifted
+    by eta |S|: a step binary64 may lose next to the scaled values."""
+    scaled = st.builds(dm.Scaled, specs, huge)
+    return st.one_of(scaled, st.builds(dm.Perturbed, scaled, small))
+
+
+def size_only_leaves(n):
+    # concave steps, some of them flat; equal steps make phi(|S|) linear, so Greedy++ runs on it
+    steps = st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2), F(7)]), min_size=n, max_size=n)
+    return st.one_of(
+        steps.map(lambda ds: dm.ConcaveOfCardinality(tuple(accumulate(sorted(ds, reverse=True), initial=F(0))))),
+        small.map(lambda d: dm.ConcaveOfCardinality(tuple(d * k for k in range(n + 1)))),
+    )
+
+
+def other_leaves(n):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small)
+    return st.one_of(
+        st.lists(pair, min_size=1, max_size=2 * n).map(lambda es: dm.EdgesInside(tuple(es))),
+        st.lists(small, min_size=n, max_size=n).map(lambda ws: dm.Linear(tuple(ws))),
+        st.lists(small, min_size=(1 << n) - 1, max_size=(1 << n) - 1).map(lambda r: dm.ExplicitTable((F(0), *r))),
+    )
+
+
+@functools.cache
+def runs_on(n, unresolved):
+    """(instance, config) on n elements: size-only and other specs, wrapped up to
+    twice, under either variant; Greedy++'s cost is linear, and may be size-only.
+    With ``unresolved``, every value is past the bounds of binary64 resolution."""
+    ground = dm.GroundSet(tuple(f"v{i}" for i in range(n)))
+    specs = nested(st.one_of(size_only_leaves(n), other_leaves(n)), n)
+    linear = st.one_of(size_only_leaves(n), other_leaves(n).filter(lambda s: isinstance(s, dm.Linear)))
+    linear = st.one_of(linear, st.builds(dm.Scaled, linear, scales), st.builds(dm.Perturbed, linear, small))
+    if unresolved:
+        specs, linear = past_resolution(specs), past_resolution(linear)
+    arithmetics = ["binary64"] if unresolved else ["binary64", "rational"]
+    starts = st.permutations(range(n)).map(lambda order: dm.Permutation(tuple(order)))
+
+    def run(variant):
+        return st.tuples(
+            st.builds(lambda f, g: dm.DualModularInstance(ground=ground, f=f, g=g, check_totals=False),
+                      specs, linear if variant == "greedypp" else specs),
+            st.builds(lambda T, arithmetic, start: dm.SolverConfig(
+                iterations=T, variant=variant, arithmetic=arithmetic, initial_permutation=start),
+                st.integers(1, 12), st.sampled_from(arithmetics), starts),
+        )
+
+    return st.sampled_from(["fw", "greedypp"]).flatmap(run)
+
+
+def outcomes(inst, cfg):
+    """repr of solve's trace and of final_iterate's result, or of the (type, message) each raises."""
+    out = []
+    for run in (dm.solve, dm.final_iterate):
+        try:
+            out.append(repr(run(inst, cfg)))
+        except DualModError as exc:
+            out.append(repr((type(exc), str(exc))))
+    return out
+
+
+@pytest.mark.parametrize("unresolved", [False, True], ids=["resolved", "unresolved"])
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_step_matches_vertex_then_mix(unresolved, data):
+    # repr tells every float apart, -0.0 from 0.0 and each nan's place included
+    inst, cfg = data.draw(st.integers(1, 6).flatmap(lambda n: runs_on(n, unresolved)))
+    got = outcomes(inst, cfg)
+    with mock.patch.object(solver, "_Memo", VertexThenMix):
+        assert got == outcomes(inst, cfg)
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (dm.ConcaveOfCardinality((F(0), F(2), F(3))), True),
+    (dm.ComplementOf(dm.Scaled(dm.Perturbed(dm.ConcaveOfCardinality((F(0), F(2), F(3))), F(1)), F(1, 2)), 2), True),
+    (dm.EdgesInside(((0, 1, F(1)),)), False),
+    (dm.Linear((F(1), F(2))), False),
+    (dm.Scaled(dm.Linear((F(1), F(2))), F(2)), False),
+    (dm.ComplementOf(dm.ExplicitTable((F(0), F(1), F(2), F(3))), 2), False),
+    (dm.Perturbed(dm.EdgesInside(((0, 0, F(1)),)), F(1)), False),
+], ids=["concave", "nested-wrappers", "edges", "unequal-linear", "scaled-linear", "complemented-table", "perturbed-edges"])
+def test_size_only_kinds(spec, expected):
+    assert _size_only(spec) is expected
+
+
+def test_mix_checks_stored_shares_once_values_are_unresolved():
+    # f({a}) = 2^60 and f({a, b}) = 2^60 + 1 round to one float.  The walks of
+    # (b, a, c) and (a, c, b) lose no share and store every prefix of (a, b, c),
+    # whose share of b at {a} is 1 exactly and 0.0 read from the stored floats
+    a, b, c = 1, 2, 4
+    values = {0: 0, a: 2**60, b: 512, c: 512, a | b: 2**60 + 1, a | c: 2**60 + 512, b | c: 1024, a | b | c: 2**60 + 1024}
+    f = dm.ExplicitTable(tuple(F(values[m]) for m in range(8)))
+    memo = _Memo(f, True, "f", ("a", "b", "c"))
+    memo.vertex((1, 0, 2))
+    memo.vertex((0, 2, 1))
+    assert {0, a, a | b, a | b | c} <= memo.keys()
+    with pytest.raises(DomainError, match=r"^f: reward share of element b is 1/1, below binary64 resolution"):
+        memo.mix((0, 1, 2), [1.0, 1.0, 1.0], 0.5, 0.5)
+
+
+@pytest.mark.parametrize("as_float", [True, False], ids=["binary64", "rational"])
+def test_mix_is_the_vertex_mixed_in(as_float):
+    # hits, misses and a size-only function, against vertex and the comprehension
+    rng = np.random.default_rng(54)
+    inst = random_instance(rng, 6)
+    for spec in (inst.f, inst.g):
+        memo, oracle = _Memo(spec, as_float, "f", inst.ground.labels), VertexThenMix(spec, as_float, "f", inst.ground.labels)
+        x = memo.vertex(tuple(range(6)))
+        assert repr(x) == repr(oracle.vertex(tuple(range(6))))
+        keep, gamma = (0.75, 0.25) if as_float else (F(3, 4), F(1, 4))
+        for _ in range(30):
+            order = tuple(int(u) for u in rng.permutation(6))
+            got, want = memo.mix(order, x, keep, gamma), oracle.mix(order, x, keep, gamma)
+            assert repr(got) == repr(want)
+            x = got
