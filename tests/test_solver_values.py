@@ -325,11 +325,15 @@ def size_only_leaves(n):
     )
 
 
+def linears(n):
+    return st.lists(small, min_size=n, max_size=n).map(lambda ws: dm.Linear(tuple(ws)))
+
+
 def other_leaves(n):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small)
     return st.one_of(
         st.lists(pair, min_size=1, max_size=2 * n).map(lambda es: dm.EdgesInside(tuple(es))),
-        st.lists(small, min_size=n, max_size=n).map(lambda ws: dm.Linear(tuple(ws))),
+        linears(n),
         st.lists(small, min_size=(1 << n) - 1, max_size=(1 << n) - 1).map(lambda r: dm.ExplicitTable((F(0), *r))),
     )
 
@@ -341,7 +345,7 @@ def runs_on(n, unresolved):
     With ``unresolved``, every value is past the bounds of binary64 resolution."""
     ground = dm.GroundSet(tuple(f"v{i}" for i in range(n)))
     specs = nested(st.one_of(size_only_leaves(n), other_leaves(n)), n)
-    linear = st.one_of(size_only_leaves(n), other_leaves(n).filter(lambda s: isinstance(s, dm.Linear)))
+    linear = st.one_of(size_only_leaves(n), linears(n))
     linear = st.one_of(linear, st.builds(dm.Scaled, linear, scales), st.builds(dm.Perturbed, linear, small))
     if unresolved:
         specs, linear = past_resolution(specs), past_resolution(linear)
