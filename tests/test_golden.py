@@ -36,6 +36,7 @@ COMMANDS = {
     "solve-kl": ("solve", "--T", "200", "--kind", "kl"),
     "solve-eg": ("solve", "--T", "200", "--kind", "eg"),
     "solve-hs1": ("solve", "--T", "200", "--kind", "hs:1"),
+    "solve-greedypp": ("solve", "--T", "200", "--variant", "greedypp"),
     "complement": ("complement",),
 }
 CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
