@@ -78,7 +78,6 @@ from .solver import (
     error_bounds,
     final_iterate,
     frank_wolfe,
-    gradient_oracle,
     greedy_plus_plus,
     partial_derivative,
     solve,
@@ -91,7 +90,6 @@ from .contracts import (
     contract_at,
     critical_values,
     duality_gap,
-    optimal_contract,
     two_tier_instance,
 )
 from . import errors

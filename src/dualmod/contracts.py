@@ -112,19 +112,6 @@ def contract_row(ground: GroundSet, alpha: Fraction, mask: int, agent: Fraction,
     }
 
 
-def optimal_contract(
-    inst: DualModularInstance, dec: DensityDecomposition
-) -> tuple[Fraction, int, Fraction]:
-    """Best (alpha*, response, principal utility) over the critical values.
-
-    The principal's utility is piecewise maximised at critical alphas, so
-    only those need checking.  With no critical value the agent never
-    responds non-trivially and the principal gets nothing.
-    """
-    a = analyze_contracts(inst, dec)
-    return a.optimal_alpha, a.optimal_response, a.optimal_principal_utility
-
-
 def duality_gap(inst: DualModularInstance, mask: int, allocation: Allocation, gamma) -> Fraction:
     """HS_gamma(x || y) - (f(S) - gamma * g(S)); non-negative for feasible pairs.
 

@@ -69,15 +69,16 @@ class Allocation:
 
 @dataclass(frozen=True)
 class WeightedPermutationList:
-    """Sparse permutation distribution: (sigma, weight) pairs, weights sum to 1."""
+    """Sparse permutation distribution: (sigma, weight) pairs, each weight
+    positive, weights sum to 1."""
 
     pairs: tuple[tuple[Permutation, Fraction], ...]
 
     def __post_init__(self):
         total = Fraction(0)
         for sigma, w in self.pairs:
-            if w < 0:
-                raise SchemaError("weights", f"negative weight {w}")
+            if w <= 0:
+                raise SchemaError("weights", f"weight {w} is not positive")
             total += w
         if total != 1:
             raise WeightSumMismatch(total)

@@ -9,9 +9,10 @@ the next choice.
   density, non-increasing.  This single sorting oracle is the exact
   gradient oracle for *every* convex generator, which is what makes the
   method universal across divergence choices.
-* Greedy++: step 1/(k+1); requires a linear cost and builds the
-  permutation back to front by repeatedly extracting the element with the
-  smallest blended score.
+* Greedy++: step 1/(k+1); requires a linear cost, one the cost's spec
+  proves both super- and submodular, and builds the permutation back to
+  front by repeatedly extracting the element with the smallest blended
+  score.
 
 A run evaluates f and g only at the masks it visits, each mask once, and
 builds no table of all 2^n values, so the ground set has no size limit
@@ -23,7 +24,7 @@ same marginal at position i of every order, so it is walked once per run.
 Greedy++'s one-element removals from each remaining set are evaluated one
 mask at a time, each by one chain walk.
 
-Both variants run as one step generator.  ``solve`` (and ``frank_wolfe``,
+Both variants run as one step loop.  ``solve`` (and ``frank_wolfe``,
 ``greedy_plus_plus``) keeps one ``TraceRow`` per step, with the objective
 under three generators and, every ``stride`` steps, a snapshot of the
 densities and the iterate: memory O(T n).  ``final_iterate`` runs the same
@@ -47,13 +48,12 @@ from .instance import (
     ComplementOf,
     ConcaveOfCardinality,
     DualModularInstance,
-    Linear,
     Perturbed,
     Scaled,
     SetFunctionSpec,
     extremes,
 )
-from .permutation import Permutation, density_order, density_ratios, marginals, sort_by_density, vertex
+from .permutation import Permutation, density_order, density_ratios, marginals, vertex
 from .rational import format_rational
 
 
@@ -150,20 +150,8 @@ def _num(v):
 
 
 # ---------------------------------------------------------------------------
-# oracle
+# the directional derivative the sorting oracle minimises
 # ---------------------------------------------------------------------------
-
-
-def gradient_oracle(inst: DualModularInstance, rho: Sequence) -> Permutation:
-    """Sort by induced density, non-increasing; ties by ascending index.
-
-    The same permutation minimises the directional derivative of the
-    objective no matter which convex generator is in play, so the oracle
-    takes no divergence argument.
-    """
-    if len(rho) != inst.n:
-        raise SchemaError("rho", "density vector length does not match the ground set")
-    return sort_by_density(rho)
 
 
 def partial_derivative(
@@ -196,14 +184,14 @@ _DEN_BOUND = 2**1022
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
-    ``vertex(order)`` is the marginal vector of order, and ``mix(order, x,
-    keep, gamma)`` is the step ``keep * x + gamma * vertex(order)``, written
-    straight into a new iterate from the stored prefixes.  The first time a
-    prefix of order is not stored, one ``spec.prefixes`` walk converts and
-    stores all n + 1 values and takes the vertex in the same pass.  A
-    size-only function (:func:`_size_only`) has the same marginal at
-    position i of every order, so it is walked once per run and every
-    later order reads that walk's marginals by position.
+    ``mix(order, x, keep, gamma)`` is the step ``keep * x + gamma * c``, c
+    the marginal vector of order, written straight into a new iterate from
+    the stored prefixes.  The first time a prefix of order is not stored,
+    ``_walk`` makes one ``spec.prefixes`` walk, which converts and stores
+    all n + 1 values and takes c in the same pass; the run's first iterate
+    is such a walk.  A size-only function (:func:`_size_only`) has the
+    same marginal at position i of every order, so it is walked once per
+    run and every later order reads that walk's marginals by position.
     Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
     stores an unstored mask from one walk over the chain of its elements.
     In binary64 mode a value is stored as a float, the correctly rounded
@@ -214,12 +202,14 @@ class _Memo(dict):
     n + 1 values and Greedy++'s queries.
 
     Two distinct values that round to one float give a share of 0 over a
-    nonzero exact marginal, and ``vertex`` raises :class:`DomainError` on
-    such a share.  Every value is an integer over the spec's one
-    denominator, and two distinct integers below 2^52 in magnitude over a
-    denominator of at most 2^1022 round to distinct floats, so that share
-    is looked for only once a stored value is outside those bounds; from
-    then on ``mix`` takes its vertex from ``vertex``.
+    nonzero exact marginal, and a walk raises :class:`DomainError` on such
+    a share.  Every value is an integer over the spec's one denominator,
+    and two distinct integers below 2^52 in magnitude over a denominator of
+    at most 2^1022 round to distinct floats, so that share is looked for
+    only once a stored value is outside those bounds; from then on ``mix``
+    walks every order, once per step, and checks its shares against that
+    walk's integers.  A size-only function's one walk holds all its values,
+    so it has already checked the shares that every later order reuses.
     """
 
     def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str, labels: Sequence[str]):
@@ -234,55 +224,31 @@ class _Memo(dict):
         self._size_only = _size_only(spec)
         self._by_position = None  # a size-only function's marginals by position, from its walk
 
-    def vertex(self, order: tuple) -> list:
+    def mix(self, order: tuple, x: list, keep, gamma) -> list:
+        """[keep * x[u] + gamma * c[u] for each u], c the marginal vector of order, as a new list."""
         out = [0] * len(order)
         steps = self._by_position
         if steps is not None:
             for u, step in zip(order, steps):
-                out[u] = step
-        else:
+                out[u] = keep * x[u] + gamma * step
+            return out
+        if not self._unresolved:
             get = self.get  # no __missing__: an unstored prefix reads None
             prefix = 0
-            prev = get(0)
-            if prev is None:
-                return self._walk(order)
+            prev = self[0]  # the run's first iterate is a walk, so the empty set is stored
             for u in order:
                 prefix |= 1 << u
                 cur = get(prefix)
                 if cur is None:
-                    return self._walk(order)
-                out[u] = cur - prev
-                prev = cur
-        return self._checked(order, out)
-
-    def mix(self, order: tuple, x: list, keep, gamma) -> list:
-        """[keep * x[u] + gamma * vertex(order)[u] for each u], as a new list."""
-        if self._unresolved:
-            c = self.vertex(order)
-        else:
-            out = [0] * len(order)
-            steps = self._by_position
-            if steps is not None:
-                for u, step in zip(order, steps):
-                    out[u] = keep * x[u] + gamma * step
-                return out
-            get = self.get
-            prefix = 0
-            prev = self[0]  # the run's first vertex walked, so the empty set is stored
-            for u in order:
-                prefix |= 1 << u
-                cur = get(prefix)
-                if cur is None:
-                    c = self._walk(order)
                     break
                 out[u] = keep * x[u] + gamma * (cur - prev)
                 prev = cur
             else:
                 return out
-        return [keep * xu + gamma * cu for xu, cu in zip(x, c)]
+        return [keep * xu + gamma * cu for xu, cu in zip(x, self._walk(order))]
 
     def _walk(self, order) -> list:
-        """The vertex of order from one walk, which stores its n + 1 prefix values."""
+        """The marginal vector of order from one walk, which stores its n + 1 prefix values."""
         ints, den = self._spec.prefixes(order)
         exact = self._exact
         out = [0] * len(order)
@@ -299,7 +265,7 @@ class _Memo(dict):
         self._gate(ints, den)
         if self._size_only:
             self._by_position = [out[u] for u in order]
-        return self._checked(order, out)
+        return self._checked(order, out, ints, den)
 
     def __missing__(self, mask: int):
         ints, den = self._spec.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
@@ -318,10 +284,10 @@ class _Memo(dict):
         if self._as_float and not self._unresolved:
             self._unresolved = den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
 
-    def _checked(self, order, c) -> list:
-        """The vertex c of order, unless one of its shares is 0 over a nonzero exact marginal."""
+    def _checked(self, order, c, ints, den) -> list:
+        """The marginal vector c of order, walked as ints over den, unless one of
+        its shares is 0 over a nonzero exact marginal."""
         if self._unresolved and 0.0 in c:
-            ints, den = self._spec.prefixes(order)
             role = "reward" if self._name == "f" else "cost"
             for u, exact in enumerate(marginals(order, ints)):
                 if c[u] == 0 and exact != 0:
@@ -364,16 +330,17 @@ def _phi_values(rho, y):
     return quad, kl, eg
 
 
-def _steps(inst: DualModularInstance, cfg: SolverConfig, variant: str):
-    """The iteration of ``variant`` as a generator of its steps.
+def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None):
+    """The iteration of ``variant``; its final ``(x, y, rho)``.
 
-    Before each update it yields ``(k, rho, order, x, y)``: the step number,
-    the iterate (x, y), its densities rho and the order chosen from them.
-    When the steps are done it returns the final ``(x, y, rho)``.  It keeps
-    only the current iterate and the memos; rows are the consumer's to keep.
+    Before each update it passes ``(k, rho, order, x, y)`` to ``record``: the
+    step number, the iterate (x, y), its densities rho and the order chosen
+    from them.  It keeps only the current iterate and the memos; rows are
+    record's to keep.
     """
     greedy = variant == "greedypp"
-    if greedy and as_linear_weights(inst.g, inst.n) is None:
+    # with g(empty) = 0, g is linear exactly when it is both super- and submodular
+    if greedy and not {"supermodular", "submodular"} <= inst.g.structure(inst.n).keys():
         raise NotLinearCost()
     as_float = cfg.arithmetic == "binary64"
     labels = inst.ground.labels
@@ -391,7 +358,7 @@ def _steps(inst: DualModularInstance, cfg: SolverConfig, variant: str):
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
-    x, y = f.vertex(sigma0.order), g.vertex(sigma0.order)
+    x, y = f._walk(sigma0.order), g._walk(sigma0.order)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
     lead = 1 if greedy else 2
 
@@ -399,7 +366,8 @@ def _steps(inst: DualModularInstance, cfg: SolverConfig, variant: str):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
         rho = densities(x, y)
         order = _removal_order(inst.ground.full_mask, x, f, gamma) if greedy else density_order(rho)
-        yield k, rho, order, x, y
+        if record is not None:
+            record(k, rho, order, x, y)
         keep = 1 - gamma
         x = f.mix(order, x, keep, gamma)
         y = g.mix(order, y, keep, gamma)
@@ -430,17 +398,6 @@ def _removal_order(full: int, x, f: _Memo, gamma) -> tuple[int, ...]:
     return tuple(reversed(order_rev))
 
 
-def _finish(steps, record=None):
-    """Run a step generator to its end, passing each step to ``record``; its return value."""
-    while True:
-        try:
-            step = next(steps)
-        except StopIteration as stop:
-            return stop.value
-        if record is not None:
-            record(*step)
-
-
 def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> SolverTrace:
     """The steps of ``variant`` with one TraceRow each."""
     rows = []
@@ -461,7 +418,7 @@ def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> Solver
             )
         )
 
-    x, y, rho = _finish(_steps(inst, cfg, variant), record)
+    x, y, rho = _run(inst, cfg, variant, record)
     return SolverTrace(
         variant=variant,
         arithmetic=cfg.arithmetic,
@@ -477,23 +434,6 @@ def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> Solver
 def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Run the density-sorting iteration for cfg.iterations steps."""
     return _trace(inst, cfg, "fw")
-
-
-def as_linear_weights(spec: SetFunctionSpec, n: int) -> Optional[list[Fraction]]:
-    """Effective per-element weights when the spec is linear, else None."""
-    if isinstance(spec, Linear):
-        return list(spec.weights)
-    if isinstance(spec, Scaled):
-        base = as_linear_weights(spec.base, n)
-        return None if base is None else [spec.factor * w for w in base]
-    if isinstance(spec, Perturbed):
-        base = as_linear_weights(spec.base, n)
-        return None if base is None else [w + spec.eta for w in base]
-    if isinstance(spec, ConcaveOfCardinality):
-        incs = {b - a for a, b in zip(spec.phi, spec.phi[1:])}
-        if len(incs) == 1:
-            return [next(iter(incs))] * n
-    return None
 
 
 def _size_only(spec: SetFunctionSpec) -> bool:
@@ -516,7 +456,7 @@ def solve(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
 
 def final_iterate(inst: DualModularInstance, cfg: SolverConfig) -> tuple[tuple, tuple, tuple]:
     """The final (x, y, rho) of cfg.variant, equal to ``solve``'s, with no trace kept."""
-    x, y, rho = _finish(_steps(inst, cfg, cfg.variant))
+    x, y, rho = _run(inst, cfg, cfg.variant)
     return tuple(x), tuple(y), tuple(rho)
 
 

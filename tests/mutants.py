@@ -141,23 +141,23 @@ MUTANTS = [
            "return isinstance(spec, ConcaveOfCardinality)", "return True",
            (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_memo_matches_full_table_walk")),
     Mutant("size-path-for-unequal-linear", "solver.py",
-           "return isinstance(spec, ConcaveOfCardinality)", "return isinstance(spec, (ConcaveOfCardinality, Linear))",
+           "return isinstance(spec, ConcaveOfCardinality)", 'return isinstance(spec, ConcaveOfCardinality) or hasattr(spec, "weights")',
            (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_step_matches_vertex_then_mix")),
     Mutant("size-only-walked-again", "solver.py",
            "self._by_position = [out[u] for u in order]", "pass",
            (f"{VALUES}::test_each_mask_evaluated_at_most_once",)),
     Mutant("mix-ignores-unresolved", "solver.py",
-           "if self._unresolved:\n            c = self.vertex(order)", "if False:\n            c = self.vertex(order)",
+           "if not self._unresolved:\n            get = self.get", "if True:\n            get = self.get",
            (f"{VALUES}::test_mix_checks_stored_shares_once_values_are_unresolved",
             f"{VALUES}::test_step_matches_vertex_then_mix")),
     Mutant("mix-position-vector-reversed", "solver.py",
-           "for u, step in zip(order, steps):\n                    out[u] = keep",
-           "for u, step in zip(order, steps[::-1]):\n                    out[u] = keep",
+           "for u, step in zip(order, steps):\n                out[u] = keep",
+           "for u, step in zip(order, steps[::-1]):\n                out[u] = keep",
            (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_step_matches_vertex_then_mix")),
-    Mutant("vertex-position-vector-reversed", "solver.py",
-           "for u, step in zip(order, steps):\n                out[u] = step",
-           "for u, step in zip(order, steps[::-1]):\n                out[u] = step",
-           (f"{VALUES}::test_step_matches_vertex_then_mix",)),
+    Mutant("share-check-reads-another-walk", "solver.py",
+           "enumerate(marginals(order, ints))", "enumerate(marginals(order, self._spec.prefixes(order[::-1])[0]))",
+           (f"{VALUES}::test_mix_checks_stored_shares_once_values_are_unresolved",
+            f"{VALUES}::test_step_matches_vertex_then_mix")),
     Mutant("mix-miss-reads-a-stale-prefix", "solver.py",
            "out[u] = keep * x[u] + gamma * (cur - prev)\n                prev = cur",
            "out[u] = keep * x[u] + gamma * (cur - prev)",
@@ -173,6 +173,9 @@ MUTANTS = [
     Mutant("memo-fractions-in-binary64", "solver.py",
            "self._exact = operator.truediv if as_float else Fraction", "self._exact = Fraction",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
+    Mutant("linear-gate-asks-submodular-only", "solver.py",
+           '{"supermodular", "submodular"} <= inst.g.structure', '{"submodular"} <= inst.g.structure',
+           (f"{SOLVER}::TestGreedyPlusPlus::test_linear_cost_gate",)),
     Mutant("greedypp-frank-wolfe-step", "solver.py",
            "lead = 1 if greedy else 2", "lead = 2",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
@@ -313,7 +316,7 @@ MUTANTS = [
            ("tests/test_decomposition.py::TestDensityDecomposition::test_union_of_densest_subsets_not_densest",)),
     # one step generator: final_iterate keeps no rows, solve keeps them
     Mutant("final-iterate-runs-fw", "solver.py",
-           "_finish(_steps(inst, cfg, cfg.variant))", '_finish(_steps(inst, cfg, "fw"))',
+           "_run(inst, cfg, cfg.variant)", '_run(inst, cfg, "fw")',
            (f"{SOLVER}::TestFinalIterate::test_matches_solve_bit_for_bit",)),
     Mutant("final-densities-one-step-stale", "solver.py",
            "return x, y, densities(x, y)", "return x, y, rho",
@@ -321,6 +324,9 @@ MUTANTS = [
     Mutant("one-step-too-few", "solver.py",
            "for k in range(cfg.iterations):", "for k in range(cfg.iterations - 1):",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),
+    Mutant("mixture-accepts-a-zero-weight", "permutation.py",
+           "if w <= 0:", "if w < 0:",
+           ("tests/test_permutation.py::TestMixture::test_weights_must_be_positive",)),
     Mutant("zero-share-check-off", "permutation.py",
            "if 0 in y:", "if False:",
            (f"{SOLVER}::TestFinalIterate::test_same_error_on_both_paths",)),

@@ -109,7 +109,7 @@ def test_criterion_3_gradient_oracle_optimality():
         inst = _tabulated(random_instance(rng, n, strict_f=True))
         rho = dm.induced_densities(random_allocation(rng, inst))
         assert all(r > 0 for r in rho)
-        sigma = dm.gradient_oracle(inst, rho)
+        sigma = dm.sort_by_density(rho)
         quad_best = dm.partial_derivative(inst, rho, sigma, dm.QUADRATIC)
         kl_best = dm.partial_derivative(inst, rho, sigma, dm.ENTROPY_KL)
         eg_best = dm.partial_derivative(inst, rho, sigma, dm.EISENBERG_GALE)

@@ -194,10 +194,10 @@ class TestCriticalValues:
 class TestOptimalContract:
     def test_tri_iso(self, tri_iso):
         dec = dm.density_decomposition(tri_iso)
-        alpha, mask, up = dm.optimal_contract(tri_iso, dec)
-        assert alpha == F(1, 3)
-        assert tri_iso.ground.labels_of(mask) == ["1", "2", "3"]
-        assert up == 6  # (1 - 1/3) * 9
+        a = dm.analyze_contracts(tri_iso, dec)
+        assert a.optimal_alpha == F(1, 3)
+        assert tri_iso.ground.labels_of(a.optimal_response) == ["1", "2", "3"]
+        assert a.optimal_principal_utility == 6  # (1 - 1/3) * 9
 
     def test_empty_critical_set(self):
         inst = dm.DualModularInstance(
@@ -206,14 +206,15 @@ class TestOptimalContract:
             g=dm.Linear((F(2), F(2))),
         )
         dec = dm.density_decomposition(inst)
-        assert dm.optimal_contract(inst, dec) == (0, 0, 0)
+        a = dm.analyze_contracts(inst, dec)
+        assert (a.optimal_alpha, a.optimal_response, a.optimal_principal_utility) == (0, 0, 0)
 
     def test_grid_never_beats_critical_optimum(self):
         rng = np.random.default_rng(45)
         for _ in range(5):
             inst = random_instance(rng, int(rng.integers(2, 6)))
             dec = dm.density_decomposition(inst)
-            _, _, best = dm.optimal_contract(inst, dec)
+            best = dm.analyze_contracts(inst, dec).optimal_principal_utility
             for j in range(0, 1001, 7):
                 alpha = F(j, 1000)
                 mask, _ = dm.best_response_bruteforce(inst, alpha)
@@ -338,7 +339,6 @@ def check_analysis(inst, densities):
         first = analysis.principal_utilities.index(max(analysis.principal_utilities))
         optimum = (crit[first], analysis.responses[first], analysis.principal_utilities[first])
     assert (analysis.optimal_alpha, analysis.optimal_response, analysis.optimal_principal_utility) == optimum
-    assert dm.optimal_contract(inst, dec) == optimum
     return analysis
 
 

@@ -78,6 +78,11 @@ class TestMixture:
         with pytest.raises(WeightSumMismatch):
             dm.WeightedPermutationList(((dm.Permutation((0, 1)), F(1, 2)),))
 
+    @pytest.mark.parametrize("w", [F(0), F(-1, 2)], ids=["zero", "negative"])
+    def test_weights_must_be_positive(self, w):
+        with pytest.raises(SchemaError, match="^weights: "):
+            dm.WeightedPermutationList(((dm.Permutation((0, 1)), 1 - w), (dm.Permutation((1, 0)), w)))
+
 
 class TestMembership:
     def test_sec32_vertex_allocation(self, sec32):

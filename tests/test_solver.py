@@ -29,15 +29,11 @@ def l2(a, b):
 
 
 class TestGradientOracle:
-    def test_tie_breaks_by_index(self, sec32):
-        pert = dm.DualModularInstance(
-            ground=sec32.ground, f=sec32.f, g=dm.perturb_strict(sec32.g, F(1, 100))
-        )
-        sigma = dm.gradient_oracle(pert, (F(1), F(1), F(1, 2)))
-        assert sigma.order == (0, 1, 2)
+    def test_tie_breaks_by_index(self):
+        assert dm.sort_by_density((F(1), F(1), F(1, 2))).order == (0, 1, 2)
 
-    def test_constant_density_gives_identity(self, p3):
-        assert dm.gradient_oracle(p3, (F(2, 3),) * 3).order == (0, 1, 2)
+    def test_constant_density_gives_identity(self):
+        assert dm.sort_by_density((F(2, 3),) * 3).order == (0, 1, 2)
 
     def test_attains_minimum_partial_derivative(self):
         rng = np.random.default_rng(31)
@@ -45,7 +41,7 @@ class TestGradientOracle:
             n = int(rng.integers(2, 5))
             inst = random_instance(rng, n)
             rho = tuple(rand_frac(rng, 1, 20, 9) for _ in range(n))
-            sigma = dm.gradient_oracle(inst, rho)
+            sigma = dm.sort_by_density(rho)
             for kind in dm.STRICTLY_CONVEX_KINDS:
                 best = dm.partial_derivative(inst, rho, sigma, kind)
                 for order in itertools.permutations(range(n)):
@@ -76,7 +72,7 @@ class TestPartialDerivative:
         rng = np.random.default_rng(32)
         inst = random_instance(rng, 4)
         rho = tuple(rand_frac(rng, 1, 15, 7) for _ in range(4))
-        sigma = dm.gradient_oracle(inst, rho)
+        sigma = dm.sort_by_density(rho)
         best = dm.partial_derivative(inst, rho, sigma, dm.ENTROPY_KL)
         others = [
             dm.partial_derivative(inst, rho, dm.Permutation(order), dm.ENTROPY_KL)
@@ -346,17 +342,28 @@ class TestGreedyPlusPlus:
         assert [r.sigma for r in t1.rows] == [r.sigma for r in t2.rows]
         assert t1.final_rho == t2.final_rho
 
-    def test_scaled_and_perturbed_costs_count_as_linear(self):
-        weights = (F(1), F(2))
-        assert dm.solver.as_linear_weights(dm.Scaled(dm.Linear(weights), F(3)), 2) == [3, 6]
-        assert dm.solver.as_linear_weights(dm.Perturbed(dm.Linear(weights), F(1, 2)), 2) == [
-            F(3, 2),
-            F(5, 2),
-        ]
-        assert dm.solver.as_linear_weights(
-            dm.ConcaveOfCardinality((F(0), F(2), F(4))), 2
-        ) == [2, 2]
-        assert dm.solver.as_linear_weights(dm.ConcaveOfCardinality((F(0), F(2), F(3))), 2) is None
+    @pytest.mark.parametrize("cost,linear", [
+        (dm.Scaled(dm.Linear((F(1), F(2))), F(3)), True),
+        (dm.Perturbed(dm.Linear((F(1), F(2))), F(1, 2)), True),
+        (dm.ConcaveOfCardinality((F(0), F(2), F(4))), True),
+        (dm.ComplementOf(dm.Linear((F(1), F(2))), 2), True),
+        (dm.EdgesInside(((0, 0, F(1)), (1, 1, F(2)))), True),
+        (dm.ConcaveOfCardinality((F(0), F(2), F(3))), False),
+        (dm.EdgesInside(((0, 0, F(1)), (1, 1, F(1)), (0, 1, F(1)))), False),
+        (dm.ExplicitTable((F(0), F(1), F(2), F(3))), False),
+    ], ids=["scaled-linear", "perturbed-linear", "equal-step-concave", "complemented-linear",
+            "loops-only-edges", "unequal-concave", "edge-between-two", "explicit-table"])
+    def test_linear_cost_gate(self, cost, linear):
+        # Greedy++ runs on a cost its spec proves both super- and submodular
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(1), F(1))), g=cost)
+        cfg = dm.SolverConfig(iterations=5, variant="greedypp", arithmetic="rational")
+        if linear:
+            _, y, _ = dm.final_iterate(inst, cfg)
+            # a linear cost's marginals are the same in every order
+            assert y == dm.vertex(cost, dm.Permutation((0, 1))) == dm.vertex(cost, dm.Permutation((1, 0)))
+        else:
+            with pytest.raises(NotLinearCost):
+                dm.final_iterate(inst, cfg)
 
 
 class TestErrorBounds:

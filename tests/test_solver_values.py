@@ -402,13 +402,14 @@ def test_size_only_kinds(spec, expected):
 def test_mix_checks_stored_shares_once_values_are_unresolved():
     # f({a}) = 2^60 and f({a, b}) = 2^60 + 1 round to one float.  The walks of
     # (b, a, c) and (a, c, b) lose no share and store every prefix of (a, b, c),
-    # whose share of b at {a} is 1 exactly and 0.0 read from the stored floats
+    # whose share of b at {a} is 1 exactly and 0.0 in binary64; once values are
+    # unresolved, mix walks the order though every prefix is stored, and finds it
     a, b, c = 1, 2, 4
     values = {0: 0, a: 2**60, b: 512, c: 512, a | b: 2**60 + 1, a | c: 2**60 + 512, b | c: 1024, a | b | c: 2**60 + 1024}
     f = dm.ExplicitTable(tuple(F(values[m]) for m in range(8)))
     memo = _Memo(f, True, "f", ("a", "b", "c"))
-    memo.vertex((1, 0, 2))
-    memo.vertex((0, 2, 1))
+    memo._walk((1, 0, 2))
+    memo._walk((0, 2, 1))
     assert {0, a, a | b, a | b | c} <= memo.keys()
     with pytest.raises(DomainError, match=r"^f: reward share of element b is 1/1, below binary64 resolution"):
         memo.mix((0, 1, 2), [1.0, 1.0, 1.0], 0.5, 0.5)
@@ -421,7 +422,7 @@ def test_mix_is_the_vertex_mixed_in(as_float):
     inst = random_instance(rng, 6)
     for spec in (inst.f, inst.g):
         memo, oracle = _Memo(spec, as_float, "f", inst.ground.labels), VertexThenMix(spec, as_float, "f", inst.ground.labels)
-        x = memo.vertex(tuple(range(6)))
+        x = memo._walk(tuple(range(6)))
         assert repr(x) == repr(oracle.vertex(tuple(range(6))))
         keep, gamma = (0.75, 0.25) if as_float else (F(3, 4), F(1, 4))
         for _ in range(30):
