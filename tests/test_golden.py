@@ -3,8 +3,10 @@
 Each case runs one subcommand on one fixture and compares its stdout with
 ``golden/<fixture>.<command>.out``, and its exit code and stderr with the
 case's entry in ``golden/status.json``.  Each ``solve`` case also runs with
-``--trace`` and must print the same.  ``solve --trace`` on the fixtures in
-``TRACED`` is compared with ``golden/<fixture>.trace.csv`` byte for byte.
+``--trace`` and must print the same.  Each ``(fixture, command)`` pair in
+``TRACED`` runs with ``--stride 10 --trace``, and its CSV is compared byte for
+byte with ``golden/<fixture>.trace.csv`` for ``solve`` and with
+``golden/<fixture>.<command>.trace.csv`` for any other command.
 The cases run in-process through ``main``, one after another; ``solve`` also
 runs once per fixture in a fresh interpreter, as from a shell.  The files
 guard refactors that must not change what the command line prints.
@@ -41,7 +43,14 @@ COMMANDS = {
 }
 CASES = [(name, cmd) for name in NAMES for cmd in COMMANDS]
 SOLVES = [(name, cmd) for name, cmd in CASES if COMMANDS[cmd][0] == "solve"]
-TRACED = ("club8", "p3", "tri_iso")
+TRACED = (
+    ("club8", "solve"),
+    ("p3", "solve"),
+    ("tri_iso", "solve"),
+    ("hardness", "solve-greedypp"),
+    ("p3", "solve-greedypp"),
+    ("tri_iso", "solve-greedypp"),
+)
 
 
 def argv(name: str, cmd: str, *extra: str) -> list[str]:
@@ -68,15 +77,19 @@ def expected(name: str, cmd: str) -> tuple[int, str, str]:
     return code, out, err
 
 
-def trace_bytes(name: str, path) -> bytes:
-    code, _, _ = capture(name, "solve", "--stride", "10", "--trace", str(path))
+def trace_bytes(name: str, cmd: str, path) -> bytes:
+    code, _, _ = capture(name, cmd, "--stride", "10", "--trace", str(path))
     assert code == 0
     with open(path, "rb") as fh:
         return fh.read()
 
 
-def golden_trace(name: str) -> str:
-    return os.path.join(GOLDEN, f"{name}.trace.csv")
+def trace_id(name: str, cmd: str) -> str:
+    return name if cmd == "solve" else f"{name}.{cmd}"
+
+
+def golden_trace(name: str, cmd: str) -> str:
+    return os.path.join(GOLDEN, f"{trace_id(name, cmd)}.trace.csv")
 
 
 @pytest.mark.parametrize("name,cmd", CASES, ids=[f"{n}-{c}" for n, c in CASES])
@@ -100,10 +113,10 @@ def test_fresh_process_matches_golden(name):
     assert (done.returncode, done.stdout, done.stderr) == expected(name, "solve")
 
 
-@pytest.mark.parametrize("name", TRACED)
-def test_trace_csv_matches_golden(name, tmp_path):
-    with open(golden_trace(name), "rb") as fh:
-        assert trace_bytes(name, tmp_path / "trace.csv") == fh.read()
+@pytest.mark.parametrize("name,cmd", TRACED, ids=[trace_id(n, c) for n, c in TRACED])
+def test_trace_csv_matches_golden(name, cmd, tmp_path):
+    with open(golden_trace(name, cmd), "rb") as fh:
+        assert trace_bytes(name, cmd, tmp_path / "trace.csv") == fh.read()
 
 
 if __name__ == "__main__":
@@ -114,8 +127,8 @@ if __name__ == "__main__":
         status[f"{name}.{cmd}"] = [code, err]
         with open(golden_file(name, cmd), "w", encoding="utf-8", newline="") as fh:
             fh.write(out)
-    for name in TRACED:
-        trace_bytes(name, golden_trace(name))
+    for name, cmd in TRACED:
+        trace_bytes(name, cmd, golden_trace(name, cmd))
     with open(os.path.join(GOLDEN, "status.json"), "w", encoding="utf-8") as fh:
         json.dump(status, fh, indent=2, sort_keys=True)
         fh.write("\n")
