@@ -55,7 +55,7 @@ a, b = report.witnesses["g_strictly_monotone"]
 print("strict monotonicity fails:", flat.ground.labels_of(a), "vs", flat.ground.labels_of(b))
 
 repaired = dm.DualModularInstance(
-    ground=flat.ground, f=flat.f, g=dm.perturb_strict(flat.g, F(1, 1000))
+    ground=flat.ground, f=flat.f, g=dm.Perturbed(flat.g, F(1, 1000))
 )
 print("after +|S|/1000:", dm.verify_dual_modularity(repaired).dual_modular)
 print("repaired density vector:", dm.density_decomposition(repaired).rho_star)

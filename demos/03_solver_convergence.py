@@ -54,7 +54,7 @@ for row in trace.rows:
               f"rho={tuple(round(float(v), 4) for v in row.rho)}")
 
 # With a linear cost the back-to-front greedy variant applies as well.
-gpp = dm.greedy_plus_plus(inst, dm.SolverConfig(iterations=2000, variant="greedypp"))
+gpp = dm.solve(inst, dm.SolverConfig(iterations=2000, variant="greedypp"))
 print("greedy++ final density error:", l2(gpp.final_rho, dec.rho_star))
 
 # Traces export to CSV for plotting elsewhere.

@@ -28,7 +28,6 @@ from .instance import (
     instance_to_json,
     load_instance,
     normalize,
-    perturb_strict,
     residual_instance,
     verify_dual_modularity,
 )
@@ -78,7 +77,6 @@ from .solver import (
     error_bounds,
     final_iterate,
     frank_wolfe,
-    greedy_plus_plus,
     partial_derivative,
     solve,
 )
@@ -86,7 +84,6 @@ from .contracts import (
     ContractAnalysis,
     analyze_contracts,
     best_response,
-    best_response_bruteforce,
     contract_at,
     critical_values,
     duality_gap,

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .decomposition import DensityDecomposition, density_decomposition
+from .decomposition import DensityDecomposition
 from .divergence import HockeyStick, divergence
-from .errors import DualModError, SchemaError
-from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, ExplicitTable, GroundSet, Linear, check_size
+from .errors import SchemaError
+from .instance import DualModularInstance, ExplicitTable, GroundSet, Linear
 from .permutation import Allocation
 from .rational import format_rational
 
@@ -47,43 +46,6 @@ def best_response(inst: DualModularInstance, dec: DensityDecomposition, alpha) -
         else:
             break
     return mask
-
-
-def best_response_bruteforce(
-    inst: DualModularInstance, alpha, max_n: Optional[int] = None
-) -> tuple[int, Fraction]:
-    """Exhaustive argmax of alpha * f(S) - g(S), with the tie chain.
-
-    Value ties prefer larger f(S) (the principal's benefit), then the
-    decomposition prefix union if it is among the remaining ties, then the
-    lowest mask.  Serves as the testing oracle for :func:`best_response`.
-    """
-    alpha = _check_alpha(alpha)
-    n = inst.n
-    check_size(n, DEFAULT_ENUM_LIMIT, max_n, "best_response_bruteforce")
-    # for alpha = p/q, alpha f(S) - g(S) = (p F[S] Dg - q G[S] Df) / (q Df Dg)
-    (ftab, df), (gtab, dg) = inst.tables()
-    pf, qg = alpha.numerator * dg, alpha.denominator * df
-    best_key = None
-    ties: list[int] = []
-    for s in range(1 << n):
-        key = (pf * ftab[s] - qg * gtab[s], ftab[s])
-        if best_key is None or key > best_key:
-            best_key = key
-            ties = [s]
-        elif key == best_key:
-            ties.append(s)
-    value = Fraction(best_key[0], alpha.denominator * df * dg)
-    if len(ties) > 1:
-        try:
-            dec = density_decomposition(inst, max_n)
-        except DualModError:
-            dec = None  # degenerate instance; fall through to the lowest mask
-        if dec is not None:
-            prefix = best_response(inst, dec, alpha)
-            if prefix in ties:
-                return prefix, value
-    return ties[0], value
 
 
 def critical_values(dec: DensityDecomposition) -> list[Fraction]:

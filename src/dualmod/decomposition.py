@@ -61,15 +61,6 @@ class DensityDecomposition:
     def k(self) -> int:
         return len(self.parts)
 
-    def prefix_masks(self) -> list[int]:
-        """Cumulative unions S_{<=i}, one per part."""
-        out = []
-        acc = 0
-        for p in self.parts:
-            acc |= p
-            out.append(acc)
-        return out
-
     def to_json(self, ground: GroundSet) -> dict:
         return {
             "parts": [ground.labels_of(p) for p in self.parts],

@@ -719,11 +719,6 @@ def verify_dual_modularity(inst: DualModularInstance, max_n: Optional[int] = Non
 # ---------------------------------------------------------------------------
 
 
-def perturb_strict(g: SetFunctionSpec, eta: Fraction) -> SetFunctionSpec:
-    """g(S) + eta * |S|; restores strict monotonicity for any eta > 0."""
-    return Perturbed(g, Fraction(eta))
-
-
 def complement_instance(inst: DualModularInstance, max_n: Optional[int] = None) -> DualModularInstance:
     """Swap reward and cost roles via h(S) -> h(V) - h(V \\ S).
 

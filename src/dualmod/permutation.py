@@ -101,11 +101,19 @@ def marginals(order: Sequence[int], values: Sequence) -> list:
     return out
 
 
+def check_order(sigma: Permutation, n: Optional[int]) -> None:
+    """Refuse a permutation of other than n elements; n None fits any."""
+    if n is not None and sigma.n != n:
+        raise SchemaError("order", f"length {sigma.n} does not match n={n}")
+
+
 def vertex(spec: SetFunctionSpec, sigma: Permutation) -> tuple[Fraction, ...]:
     """Marginal vector h^sigma, indexed by element; coordinates sum to h(V).
 
-    Read off one exact walk over the n + 1 prefixes of sigma.
+    Read off one exact walk over the n + 1 prefixes of sigma, which must
+    order as many elements as the spec is built for, where its kind fixes n.
     """
+    check_order(sigma, spec._n)
     values, den = spec.prefixes(sigma.order)
     return tuple(Fraction(d, den) for d in marginals(sigma.order, values))
 
@@ -120,6 +128,7 @@ def allocation_from_mixture(
     def mix(spec: SetFunctionSpec, pairs) -> tuple:
         out = [Fraction(0)] * inst.n
         for sigma, w in pairs:
+            check_order(sigma, inst.n)
             for u, v in enumerate(vertex(spec, sigma)):
                 out[u] += w * v
         return tuple(out)

@@ -24,11 +24,12 @@ same marginal at position i of every order, so it is walked once per run.
 Greedy++'s one-element removals from each remaining set are evaluated one
 mask at a time, each by one chain walk.
 
-Both variants run as one step loop.  ``solve`` (and ``frank_wolfe``,
-``greedy_plus_plus``) keeps one ``TraceRow`` per step, with the objective
-under three generators and, every ``stride`` steps, a snapshot of the
-densities and the iterate: memory O(T n).  ``final_iterate`` runs the same
-steps to the same final iterate and keeps no per-iteration trace.
+Both variants run as one step loop.  ``solve`` keeps one ``TraceRow`` per
+step, with the objective under three generators and, every ``stride``
+steps, a snapshot of the densities and the iterate: memory O(T n).
+``final_iterate`` runs the same steps to the same final iterate and keeps
+no per-iteration trace.  ``frank_wolfe`` is ``solve`` with the Frank-Wolfe
+variant whatever ``cfg.variant`` says; the benchmark harness calls it.
 
 A run is sequential; traces are immutable once returned.
 """
@@ -53,7 +54,7 @@ from .instance import (
     SetFunctionSpec,
     extremes,
 )
-from .permutation import Permutation, density_order, density_ratios, marginals, vertex
+from .permutation import Permutation, check_order, density_order, density_ratios, marginals, vertex
 from .rational import format_rational
 
 
@@ -101,7 +102,6 @@ class TraceRow:
 @dataclass(frozen=True)
 class SolverTrace:
     variant: str
-    arithmetic: str
     iterations: int
     labels: tuple[str, ...]
     rows: tuple[TraceRow, ...]
@@ -109,33 +109,13 @@ class SolverTrace:
     final_y: tuple
     final_rho: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "arithmetic": self.arithmetic,
-            "iterations": self.iterations,
-            "rows": [
-                {
-                    "k": r.k,
-                    "phi_quadratic": _num(r.phi_quadratic),
-                    "phi_kl": _num(r.phi_kl),
-                    "phi_eg": _num(r.phi_eg),
-                    "rho": None
-                    if r.rho is None
-                    else {lab: _num(v) for lab, v in zip(self.labels, r.rho)},
-                }
-                for r in self.rows
-            ],
-            "final_rho": {lab: _num(v) for lab, v in zip(self.labels, self.final_rho)},
-        }
-
     def to_csv(self, path) -> None:
         header = ["k", "phi_quadratic", "phi_kl", "phi_eg"] + [f"rho_{lab}" for lab in self.labels]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for r in self.rows:
-                # one rule with to_json: "p/q" for a Fraction, a float, or None (an empty field)
+                # "p/q" for a Fraction, a float, or None (an empty field)
                 rho = [None] * len(self.labels) if r.rho is None else r.rho
                 writer.writerow([r.k, *map(_num, (r.phi_quadratic, r.phi_kl, r.phi_eg, *rho))])
 
@@ -162,6 +142,7 @@ def partial_derivative(
     sum_v f^sigma_v * theta'(rho_v)  +  sum_v g^sigma_v * (theta - t theta')(rho_v).
     Exact for the quadratic generator on rational densities.
     """
+    check_order(sigma, inst.n)
     fv = vertex(inst.f, sigma)
     gv = vertex(inst.g, sigma)
     total = None
@@ -421,7 +402,6 @@ def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> Solver
     x, y, rho = _run(inst, cfg, variant, record)
     return SolverTrace(
         variant=variant,
-        arithmetic=cfg.arithmetic,
         iterations=cfg.iterations,
         labels=inst.ground.labels,
         rows=tuple(rows),
@@ -442,11 +422,6 @@ def _size_only(spec: SetFunctionSpec) -> bool:
     while isinstance(spec, (Scaled, Perturbed, ComplementOf)):
         spec = spec.base
     return isinstance(spec, ConcaveOfCardinality)
-
-
-def greedy_plus_plus(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
-    """Greedy++ iteration; the cost function must be linear."""
-    return _trace(inst, cfg, "greedypp")
 
 
 def solve(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:

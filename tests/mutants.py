@@ -327,6 +327,15 @@ MUTANTS = [
     Mutant("mixture-accepts-a-zero-weight", "permutation.py",
            "if w <= 0:", "if w < 0:",
            ("tests/test_permutation.py::TestMixture::test_weights_must_be_positive",)),
+    Mutant("vertex-accepts-another-length", "permutation.py",
+           "    check_order(sigma, spec._n)\n", "",
+           ("tests/test_permutation.py::TestVertex::test_rejects_an_order_of_another_length",)),
+    Mutant("mixture-accepts-another-length", "permutation.py",
+           "            check_order(sigma, inst.n)\n", "",
+           ("tests/test_permutation.py::TestMixture::test_rejects_an_order_of_another_length",)),
+    Mutant("derivative-accepts-another-length", "solver.py",
+           "    check_order(sigma, inst.n)\n", "",
+           (f"{SOLVER}::TestPartialDerivative::test_rejects_an_order_of_another_length",)),
     Mutant("zero-share-check-off", "permutation.py",
            "if 0 in y:", "if False:",
            (f"{SOLVER}::TestFinalIterate::test_same_error_on_both_paths",)),

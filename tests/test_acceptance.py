@@ -7,6 +7,7 @@ tolerance on rationals; binary64 claims carry their stated tolerances.
 
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from conftest import (
     random_n,
     value_tables,
 )
+from oracles import best_response_bruteforce
 
 
 def _report(number: int, started: float, summary: str, budget: float | None = None):
@@ -185,7 +187,7 @@ def test_criterion_5_hockey_stick_duality():
         dec = dm.density_decomposition(inst)
         trace = dm.frank_wolfe(inst, dm.SolverConfig(iterations=5000))
         a = dm.Allocation(x=trace.final_x, y=trace.final_y)
-        prefixes = dec.prefix_masks()
+        prefixes = list(itertools.accumulate(dec.parts, operator.or_))
         for i, rho in enumerate(dec.densities):
             low = dec.densities[i + 1] if i + 1 < dec.k else F(0)
             gamma = (rho + low) / 2  # strictly between consecutive densities
@@ -207,7 +209,7 @@ def test_criterion_6_contracts_oracle_equivalence():
         dec = dm.density_decomposition(inst)
         alpha = F(int(rng.integers(0, 101)), 100)
 
-        mask, value = dm.best_response_bruteforce(inst, alpha)
+        mask, value = best_response_bruteforce(inst, alpha)
         assert mask == dm.best_response(inst, dec, alpha)
         assert value == alpha * inst.f.value(mask) - inst.g.value(mask)
 

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     random_instance,
     value_tables,
 )
+from oracles import best_response_bruteforce
 
 
 def brute_argmaxes(inst, alpha):
@@ -75,7 +78,7 @@ class TestBruteForceOracle:
             inst = random_instance(rng, int(rng.integers(2, 7)))
             dec = dm.density_decomposition(inst)
             alpha = F(int(rng.integers(0, 101)), 100)
-            mask, value = dm.best_response_bruteforce(inst, alpha)
+            mask, value = best_response_bruteforce(inst, alpha)
             assert mask == dm.best_response(inst, dec, alpha)
             assert value == alpha * inst.f.value(mask) - inst.g.value(mask)
 
@@ -84,7 +87,7 @@ class TestBruteForceOracle:
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(("x", "y")), f=dm.Linear(weights), g=dm.Linear(weights)
         )
-        mask, value = dm.best_response_bruteforce(inst, F(1))
+        mask, value = best_response_bruteforce(inst, F(1))
         assert mask == inst.ground.full_mask
         assert value == 0
 
@@ -94,7 +97,7 @@ class TestBruteForceOracle:
         # lowest tie {x}
         table = dm.ExplicitTable((F(0), F(1), F(0), F(1)))
         inst = dm.DualModularInstance(ground=dm.GroundSet(("x", "y")), f=table, g=table)
-        assert dm.best_response_bruteforce(inst, F(1)) == (3, 0)
+        assert best_response_bruteforce(inst, F(1)) == (3, 0)
 
     def test_uniqueness_between_densities(self):
         # strictly between consecutive densities the maximiser of
@@ -104,7 +107,7 @@ class TestBruteForceOracle:
         for _ in range(30):
             inst = random_instance(rng, int(rng.integers(2, 6)))
             dec = dm.density_decomposition(inst)
-            prefixes = dec.prefix_masks()
+            prefixes = list(accumulate(dec.parts, operator.or_))
             ftab, gtab = value_tables(inst)
             for i, hi in enumerate(dec.densities):
                 lo = dec.densities[i + 1] if i + 1 < dec.k else F(0)
@@ -124,7 +127,7 @@ class TestBruteForceOracle:
                 assert winners == [prefixes[i]]
                 confirmed += 1
                 if gamma >= 1:  # also representable through the price share
-                    mask, _ = dm.best_response_bruteforce(inst, 1 / gamma)
+                    mask, _ = best_response_bruteforce(inst, 1 / gamma)
                     assert mask == prefixes[i]
                     alpha_confirmed += 1
         assert confirmed >= 30
@@ -147,7 +150,7 @@ class TestContractAt:
             ftab, gtab = value_tables(inst)
             for alpha in [F(0), F(1)] + [F(int(rng.integers(0, 101)), 100) for _ in range(4)]:
                 mask, agent, principal = dm.contract_at(inst, dec, alpha)
-                assert dm.best_response_bruteforce(inst, alpha) == (mask, agent)
+                assert best_response_bruteforce(inst, alpha) == (mask, agent)
                 assert agent == alpha * ftab[mask] - gtab[mask]
                 assert principal == (1 - alpha) * ftab[mask]
 
@@ -217,7 +220,7 @@ class TestOptimalContract:
             best = dm.analyze_contracts(inst, dec).optimal_principal_utility
             for j in range(0, 1001, 7):
                 alpha = F(j, 1000)
-                mask, _ = dm.best_response_bruteforce(inst, alpha)
+                mask, _ = best_response_bruteforce(inst, alpha)
                 assert (1 - alpha) * inst.f.value(mask) <= best
 
     def test_analysis_bundle(self, tri_iso):
@@ -254,7 +257,7 @@ class TestDualityGap:
             sigma = consistent_permutation(rng, dec)
             one = dm.WeightedPermutationList.single(sigma)
             a = dm.allocation_from_mixture(inst, one, one)
-            prefixes = dec.prefix_masks()
+            prefixes = list(accumulate(dec.parts, operator.or_))
             for i, rho in enumerate(dec.densities):
                 low = dec.densities[i + 1] if i + 1 < dec.k else F(0)
                 gamma = (rho + low) / 2
@@ -331,7 +334,7 @@ def check_analysis(inst, densities):
     for alpha, mask, ua, up in zip(
         crit, analysis.responses, analysis.agent_utilities, analysis.principal_utilities
     ):
-        assert dm.best_response_bruteforce(inst, alpha) == (mask, ua)
+        assert best_response_bruteforce(inst, alpha) == (mask, ua)
         assert ua == alpha * ftab[mask] - gtab[mask]
         assert up == (1 - alpha) * ftab[mask]
     optimum = (F(0), 0, F(0))

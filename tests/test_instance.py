@@ -253,7 +253,6 @@ SIZE_GATES = [
         dm.instance.DEFAULT_ENUM_LIMIT,
         lambda n, cap: dm.check_base_membership(_ones_instance(n), dm.Allocation((F(1),) * n, (F(1),) * n), cap),
     ),
-    ("best_response_bruteforce", dm.instance.DEFAULT_ENUM_LIMIT, lambda n, cap: dm.best_response_bruteforce(_ones_instance(n), F(1, 2), cap)),
 ]
 
 
@@ -271,18 +270,18 @@ def test_size_cap_one_past_the_limit(source, what, default, call):
 
 class TestPerturb:
     def test_zero_eta_identity(self, sec32):
-        tilde = dm.perturb_strict(sec32.g, F(0))
+        tilde = dm.Perturbed(sec32.g, F(0))
         for s in range(8):
             assert tilde.value(s) == sec32.g.value(s)
 
     def test_perturbed_value(self, sec32):
-        tilde = dm.perturb_strict(sec32.g, F(1, 100))
+        tilde = dm.Perturbed(sec32.g, F(1, 100))
         g = sec32.ground
         assert tilde.value(masks(g, "a", "w")) == F(51, 50)
 
     def test_restores_strict_monotonicity(self, sec32):
         inst = dm.DualModularInstance(
-            ground=sec32.ground, f=sec32.f, g=dm.perturb_strict(sec32.g, F(1, 100))
+            ground=sec32.ground, f=sec32.f, g=dm.Perturbed(sec32.g, F(1, 100))
         )
         report = dm.verify_dual_modularity(inst)
         assert report.g_strictly_monotone and report.dual_modular
@@ -290,7 +289,7 @@ class TestPerturb:
     def test_negative_eta(self, sec32):
         # a schema error naming the field, as a negative scale factor is
         with pytest.raises(SchemaError) as exc:
-            dm.perturb_strict(sec32.g, F(-1, 10))
+            dm.Perturbed(sec32.g, F(-1, 10))
         assert str(exc.value) == "eta: perturbation amount must be >= 0, got -1/10"
 
 

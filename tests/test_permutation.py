@@ -37,6 +37,13 @@ class TestVertex:
         with pytest.raises(SchemaError):
             dm.Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("spec", [dm.Linear((F(1), F(2))), dm.ConcaveOfCardinality((F(0), F(2), F(3)))], ids=["linear", "concave"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0,)], ids=["longer", "shorter"])
+    def test_rejects_an_order_of_another_length(self, spec, order):
+        # a kind built for n = 2 walks only permutations of 2 elements
+        with pytest.raises(SchemaError, match=rf"^order: length {len(order)} does not match n=2$"):
+            dm.vertex(spec, dm.Permutation(order))
+
 
 class TestMixture:
     def test_single_permutation(self, sec32):
@@ -73,6 +80,17 @@ class TestMixture:
         v2 = dm.vertex(p3.f, dm.Permutation((2, 1, 0)))
         assert a.x == tuple((p + q) / 2 for p, q in zip(v1, v2))
         assert a.x == (F(1, 2), 1, F(1, 2))
+
+    @pytest.mark.parametrize("side", ["reward", "cost"])
+    def test_rejects_an_order_of_another_length(self, side):
+        # an edge function fits any n, so only the instance tells the lengths apart
+        edges = dm.EdgesInside(((0, 1, F(1)), (0, 0, F(1)), (1, 1, F(1))))
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("x", "y")), f=edges, g=edges, check_totals=False)
+        fits = dm.WeightedPermutationList.single(dm.Permutation((0, 1)))
+        longer = dm.WeightedPermutationList.single(dm.Permutation((0, 1, 2)))
+        p, q = (longer, fits) if side == "reward" else (fits, longer)
+        with pytest.raises(SchemaError, match=r"^order: length 3 does not match n=2$"):
+            dm.allocation_from_mixture(inst, p, q)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(WeightSumMismatch):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import os
@@ -60,6 +61,13 @@ class TestPartialDerivative:
         value = dm.partial_derivative(inst, (F(1),), dm.Permutation((0,)), dm.QUADRATIC)
         assert value == 1  # 1 * 2 + 1 * (1 - 2)
 
+    def test_rejects_an_order_of_another_length(self):
+        # edge functions fit any n, so only the instance tells the lengths apart
+        loops = dm.EdgesInside(((0, 0, F(1)), (1, 1, F(1))))
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("x", "y")), f=loops, g=loops)
+        with pytest.raises(SchemaError, match=r"^order: length 3 does not match n=2$"):
+            dm.partial_derivative(inst, (F(1), F(1)), dm.Permutation((0, 1, 2)), dm.QUADRATIC)
+
     def test_constant_density_is_sigma_independent(self, p3):
         rho = (F(2, 3),) * 3
         values = {
@@ -112,7 +120,7 @@ class TestFrankWolfe:
 
     def test_perturbed_sec32_converges(self, sec32):
         pert = dm.DualModularInstance(
-            ground=sec32.ground, f=sec32.f, g=dm.perturb_strict(sec32.g, F(1, 100))
+            ground=sec32.ground, f=sec32.f, g=dm.Perturbed(sec32.g, F(1, 100))
         )
         dec = dm.density_decomposition(pert)
         trace = dm.frank_wolfe(pert, dm.SolverConfig(iterations=5000))
@@ -324,21 +332,21 @@ class TestGreedyPlusPlus:
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(("v",)), f=dm.Linear((F(3),)), g=dm.Linear((F(2),))
         )
-        trace = dm.greedy_plus_plus(inst, dm.SolverConfig(iterations=2, variant="greedypp"))
+        trace = dm.solve(inst, dm.SolverConfig(iterations=2, variant="greedypp"))
         assert trace.final_rho == (1.5,)
 
     def test_p3_converges(self, p3):
-        trace = dm.greedy_plus_plus(p3, dm.SolverConfig(iterations=5000, variant="greedypp"))
+        trace = dm.solve(p3, dm.SolverConfig(iterations=5000, variant="greedypp"))
         assert l2(trace.final_rho, (F(2, 3),) * 3) <= 0.02
 
     def test_requires_linear_cost(self, sec32):
         with pytest.raises(NotLinearCost):
-            dm.greedy_plus_plus(sec32, dm.SolverConfig(iterations=5, variant="greedypp"))
+            dm.solve(sec32, dm.SolverConfig(iterations=5, variant="greedypp"))
 
     def test_deterministic(self, tri_iso):
         cfg = dm.SolverConfig(iterations=50, variant="greedypp")
-        t1 = dm.greedy_plus_plus(tri_iso, cfg)
-        t2 = dm.greedy_plus_plus(tri_iso, cfg)
+        t1 = dm.solve(tri_iso, cfg)
+        t2 = dm.solve(tri_iso, cfg)
         assert [r.sigma for r in t1.rows] == [r.sigma for r in t2.rows]
         assert t1.final_rho == t2.final_rho
 
@@ -488,24 +496,21 @@ class TestHessianFormulas:
 
 
 class TestTraceExport:
-    def test_csv_and_json(self, p3, tmp_path):
+    def test_csv_rows_and_snapshots(self, p3, tmp_path):
         trace = dm.frank_wolfe(p3, dm.SolverConfig(iterations=30, stride=10))
+        assert (trace.iterations, len(trace.rows), len(trace.final_rho)) == (30, 30, 3)
         path = os.path.join(tmp_path, "trace.csv")
         trace.to_csv(path)
         with open(path) as fh:
-            lines = fh.read().strip().splitlines()
-        assert lines[0] == "k,phi_quadratic,phi_kl,phi_eg,rho_1,rho_2,rho_3"
-        assert len(lines) == 31
-        blob = trace.to_json()
-        assert blob["iterations"] == 30
-        assert len(blob["rows"]) == 30
-        assert set(blob["final_rho"]) == {"1", "2", "3"}
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", "phi_quadratic", "phi_kl", "phi_eg", "rho_1", "rho_2", "rho_3"]
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(30)]
         # snapshot rows carry densities, intermediate ones do not
-        assert blob["rows"][0]["rho"] is not None
-        assert blob["rows"][1]["rho"] is None
+        assert all(rows[1][4:])
+        assert rows[2][4:] == ["", "", ""]
 
     def test_rational_csv_writes_fractions(self, tmp_path):
-        # a's density is 10^310, beyond binary64: the CSV writes p/q, as to_json does
+        # a's density is 10^310, beyond binary64: the CSV writes p/q
         inst = dm.DualModularInstance(
             ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300), F(10**290))), g=dm.Linear((F(1, 10**10), F(1)))
         )
@@ -516,4 +521,3 @@ class TestTraceExport:
             lines = fh.read().splitlines()
         row = f"{10**610 + 10**580}/1,,,{10**310}/1,{10**290}/1"
         assert lines == ["k,phi_quadratic,phi_kl,phi_eg,rho_a,rho_b", f"0,{row}", f"1,{row}"]
-        assert [r["phi_quadratic"] for r in trace.to_json()["rows"]] == [f"{10**610 + 10**580}/1"] * 2

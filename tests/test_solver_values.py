@@ -316,17 +316,29 @@ def past_resolution(specs):
     return st.one_of(scaled, st.builds(dm.Perturbed, scaled, small))
 
 
+def equal_steps(n):
+    # phi(|S|) with equal steps is linear
+    return small.map(lambda d: dm.ConcaveOfCardinality(tuple(d * k for k in range(n + 1))))
+
+
 def size_only_leaves(n):
-    # concave steps, some of them flat; equal steps make phi(|S|) linear, so Greedy++ runs on it
+    # concave steps, some of them flat
     steps = st.lists(st.sampled_from([F(0), F(1, 3), F(1), F(2), F(7)]), min_size=n, max_size=n)
     return st.one_of(
         steps.map(lambda ds: dm.ConcaveOfCardinality(tuple(accumulate(sorted(ds, reverse=True), initial=F(0))))),
-        small.map(lambda d: dm.ConcaveOfCardinality(tuple(d * k for k in range(n + 1)))),
+        equal_steps(n),
     )
 
 
 def linears(n):
     return st.lists(small, min_size=n, max_size=n).map(lambda ws: dm.Linear(tuple(ws)))
+
+
+def linear_costs(n):
+    """Every kind whose structure proves it linear, so that Greedy++ runs on it:
+    equal-step concave, ``Linear``, its complement and a loop on each element."""
+    loops = st.lists(small, min_size=n, max_size=n).map(lambda ws: dm.EdgesInside(tuple((u, u, w) for u, w in enumerate(ws))))
+    return st.one_of(equal_steps(n), linears(n), linears(n).map(lambda base: dm.ComplementOf(base, n)), loops)
 
 
 def other_leaves(n):
@@ -341,11 +353,12 @@ def other_leaves(n):
 @functools.cache
 def runs_on(n, unresolved):
     """(instance, config) on n elements: size-only and other specs, wrapped up to
-    twice, under either variant; Greedy++'s cost is linear, and may be size-only.
-    With ``unresolved``, every value is past the bounds of binary64 resolution."""
+    twice, under either variant; Greedy++'s cost is one its gate accepts, and
+    may be size-only.  With ``unresolved``, every value is past the bounds of
+    binary64 resolution."""
     ground = dm.GroundSet(tuple(f"v{i}" for i in range(n)))
     specs = nested(st.one_of(size_only_leaves(n), other_leaves(n)), n)
-    linear = st.one_of(size_only_leaves(n), linears(n))
+    linear = linear_costs(n)
     linear = st.one_of(linear, st.builds(dm.Scaled, linear, scales), st.builds(dm.Perturbed, linear, small))
     if unresolved:
         specs, linear = past_resolution(specs), past_resolution(linear)
