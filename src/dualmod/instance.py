@@ -11,9 +11,11 @@ on every second difference and every one-element step*, never assumed.
 
 Each spec gives its values as Python ints over its one positive
 denominator: a table of all 2^n values (verification, decomposition,
-membership, contracts, `extremes`) and the prefixes of a chain of distinct
-elements (the solver, permutation vertices, and a single `Fraction` value,
-the last prefix of a walk over its subset).  Nothing here ever rounds.
+membership, contracts, the `extremes` cross-check), the prefixes of a
+chain of distinct elements (the solver, permutation vertices, and a single
+`Fraction` value, the last prefix of a walk over its subset), and the
+vector of one-element marginals at one subset (`extremes`, Greedy++'s
+removals).  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field, InitVar
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Collection, Optional, Sequence
 
 from .errors import (
@@ -144,8 +146,12 @@ class SetFunctionSpec:
     inputs' denominators once, so its table and every walk share one ``den``
     and their integers compare across walks.  Structured kinds walk in
     O(m + n) integer operations for m edges.  ``value(mask)`` is the last
-    prefix of one walk over the elements of ``mask``.  ``check(n)`` raises
-    :class:`SchemaError` unless the spec fits n elements; instances call it.
+    prefix of one walk over the elements of ``mask``.  ``marginal_vector(mask,
+    n)`` is ``(ints, den)`` over the same ``den``: ``ints[u]`` is
+    h(mask + u) - h(mask) for u not in mask and h(mask) - h(mask - u) for u
+    in mask, times ``den``, built in one pass (kinds implement ``_vector``).
+    ``check(n)`` raises :class:`SchemaError` unless the spec fits n elements;
+    instances call it.
 
     ``structure(n)`` maps each property of :data:`PROPERTIES` that the kind
     proves on n elements, given its constructor's checks, to True.  A
@@ -155,13 +161,24 @@ class SetFunctionSpec:
 
     _n: Optional[int] = None  # the size of the ground set a kind is built for; None: it fits any
 
-    def value(self, mask: int) -> Fraction:
-        """h(S), the exact rational value of the subset encoded by ``mask``."""
+    def _fit(self, mask: int) -> None:
         n = self._n
         if mask < 0 or n is not None and mask >> n:
             raise SchemaError("values", f"mask {mask} out of table range {'>= 0' if n is None else 1 << n}")
+
+    def value(self, mask: int) -> Fraction:
+        """h(S), the exact rational value of the subset encoded by ``mask``."""
+        self._fit(mask)
         values, den = self.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
         return Fraction(values[-1], den)
+
+    def marginal_vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        """The one-element marginals of elements 0..n-1 at ``mask``, as integers over den;
+        n must be the size a kind is built for, where it fixes one."""
+        self._fit(mask)
+        if self._n is not None and n != self._n:
+            raise SchemaError("n", f"{n} elements for a spec built for n={self._n}")
+        return self._vector(mask, n)
 
     def check(self, n: int) -> None:
         pass
@@ -199,6 +216,11 @@ class ExplicitTable(SetFunctionSpec):
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         values, den = self._cleared
         return [values[m] for m in accumulate((1 << u for u in order), int.__or__, initial=0)], den
+
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        values, den = self._cleared
+        h = values[mask]
+        return [h - values[mask ^ 1 << u] if mask >> u & 1 else values[mask | 1 << u] - h for u in range(n)], den
 
     def check(self, n: int) -> None:
         if len(self.values) != (1 << n):
@@ -264,6 +286,29 @@ class EdgesInside(SetFunctionSpec):
         step.pop()
         return list(accumulate(step)), den
 
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        # u's loops, plus its edges to the other elements of mask
+        edges, den, span = self._cleared
+        out = [0] * max(n, span)
+        for u, v, w in edges:
+            if u == v or mask >> v & 1:
+                out[u] += w
+            if u != v and mask >> u & 1:
+                out[v] += w
+        del out[n:]
+        return out, den
+
+    @cached_property
+    def neighbours(self) -> list[list[tuple[int, int]]]:
+        """neighbours[u]: (v, w) for each edge between u and another element v, w cleared."""
+        edges, _, span = self._cleared
+        out: list[list[tuple[int, int]]] = [[] for _ in range(span)]
+        for u, v, w in edges:
+            if u != v:
+                out[u].append((v, w))
+                out[v].append((u, w))
+        return out
+
     def check(self, n: int) -> None:
         for u, v, _ in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -311,6 +356,10 @@ class Linear(SetFunctionSpec):
         weights, den = self._cleared
         return list(accumulate((weights[u] for u in order), initial=0)), den
 
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        weights, den = self._cleared
+        return list(weights), den
+
     def check(self, n: int) -> None:
         if len(self.weights) != n:
             raise SchemaError("weights", f"{len(self.weights)} weights, expected {n}")
@@ -354,6 +403,14 @@ class ConcaveOfCardinality(SetFunctionSpec):
         phi, den = self._cleared
         return list(phi[: len(order) + 1]), den
 
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        # a member steps down to size k - 1, any other element up to k + 1
+        phi, den = self._cleared
+        k = mask.bit_count()
+        inside = phi[k] - phi[k - 1] if k else 0
+        outside = phi[k + 1] - phi[k] if k < len(phi) - 1 else 0
+        return [inside if mask >> u & 1 else outside for u in range(n)], den
+
     def check(self, n: int) -> None:
         if len(self.phi) != n + 1:
             raise SchemaError("phi", f"phi has {len(self.phi)} entries, expected {n + 1}")
@@ -392,6 +449,9 @@ class Scaled(SetFunctionSpec):
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         return self._scale(self.base.prefixes(order))
+
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        return self._scale(self.base._vector(mask, n))
 
     def check(self, n: int) -> None:
         self.base.check(n)
@@ -432,6 +492,9 @@ class Perturbed(SetFunctionSpec):
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         return self._lift(self.base.prefixes(order), range(len(order) + 1))
 
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        return self._lift(self.base._vector(mask, n), repeat(1))
+
     def check(self, n: int) -> None:
         self.base.check(n)
 
@@ -464,6 +527,10 @@ class ComplementOf(SetFunctionSpec):
         seen = set(order)
         b, den = self.base.prefixes([u for u in range(self.n) if u not in seen][::-1] + list(order)[::-1])
         return [b[-1] - v for v in reversed(b[self.n - len(order):])], den
+
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        # adding u to S removes it from V - S, and removing u from S adds it there
+        return self.base._vector((1 << self.n) - 1 ^ mask, n)
 
     def check(self, n: int) -> None:
         if n != self.n:
@@ -509,6 +576,10 @@ class Marginal(SetFunctionSpec):
         values, den = self.base.prefixes(anchor + [self.index_map[u] for u in order])
         k = len(anchor)
         return [v - values[k] for v in values[k:]], den
+
+    def _vector(self, mask: int, n: int) -> tuple[list[int], int]:
+        vec, den = self.base._vector(self.anchor | self._expand(mask), n + self.anchor.bit_count())
+        return [vec[u] for u in self.index_map], den
 
     def table(self, n: int) -> tuple[list[int], int]:
         base, den = self.base.table(n + self.anchor.bit_count())
@@ -812,7 +883,9 @@ def extremes(inst: DualModularInstance) -> Extremes:
 
     Dual-modularity pins where the extremes sit: supermodular marginals are
     smallest on the empty prefix and largest on the full one; submodular
-    marginals the other way round.  Where ``structure`` proves f
+    marginals the other way round.  So the closed forms read f_min and g_max
+    off the marginal vectors at the empty set, and f_max and g_min off those
+    at V: four ``marginal_vector`` calls.  Where ``structure`` proves f
     supermodular and g submodular the closed forms are theorems; otherwise,
     for n <= 7, they are cross-checked against every marginal h(u | A) with
     u not in A.  Each such pair is the prefix-and-next step of some
@@ -822,11 +895,10 @@ def extremes(inst: DualModularInstance) -> Extremes:
     full = inst.ground.full_mask
     f = inst.f
     g = inst.g
-    f_total, g_total = f.value(full), g.value(full)
-    f_min = min(f.value(1 << u) for u in range(n))
-    f_max = max(f_total - f.value(full ^ (1 << u)) for u in range(n))
-    g_min = min(g_total - g.value(full ^ (1 << u)) for u in range(n))
-    g_max = max(g.value(1 << u) for u in range(n))
+    (f_low, df), (f_high, _) = f.marginal_vector(0, n), f.marginal_vector(full, n)
+    (g_low, dg), (g_high, _) = g.marginal_vector(0, n), g.marginal_vector(full, n)
+    f_min, f_max = Fraction(min(f_low), df), Fraction(max(f_high), df)
+    g_min, g_max = Fraction(min(g_high), dg), Fraction(max(g_low), dg)
 
     if n <= 7 and not ("supermodular" in f.structure(n) and "submodular" in g.structure(n)):
         (ftab, df), (gtab, dg) = inst.tables()

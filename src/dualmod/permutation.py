@@ -209,10 +209,13 @@ def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = 
 
 def density_ratios(x: Sequence, y: Sequence, labels: Optional[Sequence[str]] = None) -> list:
     """[x_u / y_u for each u], raising :class:`ZeroCostCoordinate` on the first y_u = 0."""
-    if 0 in y:
-        u = next(u for u, yu in enumerate(y) if yu == 0)
-        raise ZeroCostCoordinate(u, labels[u] if labels is not None else None)
-    return [xu / yu for xu, yu in zip(x, y)]
+    try:
+        return [xu / yu for xu, yu in zip(x, y)]
+    except ArithmeticError:  # a zero share, or an int quotient past the binary64 range
+        if 0 not in y:
+            raise
+    u = y.index(0)
+    raise ZeroCostCoordinate(u, labels[u] if labels is not None else None)
 
 
 def density_order(rho: Sequence) -> tuple[int, ...]:

@@ -14,15 +14,17 @@ the next choice.
   front by repeatedly extracting the element with the smallest blended
   score.
 
-A run evaluates f and g only at the masks it visits, each mask once, and
-builds no table of all 2^n values, so the ground set has no size limit
-here.  The prefixes of a chosen permutation are filled together: the first
+A run evaluates f and g only at the masks it visits and builds no table
+of all 2^n values, so the ground set has no size limit here.  The prefixes of a chosen permutation are filled together: the first
 order with an unstored prefix is walked once, in exact integers, and all
 its n + 1 values are stored.  Each step mixes the differences of the stored
 prefixes straight into the new iterate.  A function of |S| alone has the
 same marginal at position i of every order, so it is walked once per run.
-Greedy++'s one-element removals from each remaining set are evaluated one
-mask at a time, each by one chain walk.
+Greedy++ scores its one-element removals from f's integer marginal vector
+at the remaining set: read once at V per step, then updated after each
+removal, on the removed element's neighbours for an edge reward and by one
+O(n + m) ``marginal_vector`` call for any other kind.  Those scores store
+nothing, so each step converts its n(n + 1)/2 removal values afresh.
 
 Both variants run as one step loop.  ``solve`` keeps one ``TraceRow`` per
 step, with the objective under three generators and, every ``stride``
@@ -49,6 +51,7 @@ from .instance import (
     ComplementOf,
     ConcaveOfCardinality,
     DualModularInstance,
+    EdgesInside,
     Perturbed,
     Scaled,
     SetFunctionSpec,
@@ -173,14 +176,14 @@ class _Memo(dict):
     is such a walk.  A size-only function (:func:`_size_only`) has the
     same marginal at position i of every order, so it is walked once per
     run and every later order reads that walk's marginals by position.
-    Greedy++'s removal queries subscript the memo, ``memo[mask]``, which
-    stores an unstored mask from one walk over the chain of its elements.
-    In binary64 mode a value is stored as a float, the correctly rounded
-    exact value (one beyond the binary64 range raises :class:`DomainError`);
-    in rational mode as a ``Fraction``.  A Frank-Wolfe step visits n + 1
-    prefixes and a Greedy++ step at most n^2 masks, so T steps hold at most
-    min(2^n, T n^2) values; a size-only function holds its one walk's
-    n + 1 values and Greedy++'s queries.
+    ``top`` is the last walk's integer h(V), where Greedy++'s removals
+    start.  In binary64 mode a value is stored as a float, the correctly
+    rounded exact value (one beyond the binary64 range raises
+    :class:`DomainError`); in rational mode as a ``Fraction``.  A step
+    visits n + 1 prefixes, so T steps hold at most min(2^n, (T + 1)(n + 1))
+    values; a size-only function holds its one walk's n + 1 values.
+    Greedy++'s removal scores convert their values with the same ``_exact``
+    and offer every integer they convert to the gate below, but store none.
 
     Two distinct values that round to one float give a share of 0 over a
     nonzero exact marginal, and a walk raises :class:`DomainError` on such
@@ -204,6 +207,7 @@ class _Memo(dict):
         self._unresolved = False  # binary64: some stored value is outside the bounds above
         self._size_only = _size_only(spec)
         self._by_position = None  # a size-only function's marginals by position, from its walk
+        self.top = None  # h(V) * den, from the last walk
 
     def mix(self, order: tuple, x: list, keep, gamma) -> list:
         """[keep * x[u] + gamma * c[u] for each u], c the marginal vector of order, as a new list."""
@@ -244,18 +248,10 @@ class _Memo(dict):
         except OverflowError:
             raise self._out_of_range() from None
         self._gate(ints, den)
+        self.top = ints[-1]
         if self._size_only:
             self._by_position = [out[u] for u in order]
         return self._checked(order, out, ints, den)
-
-    def __missing__(self, mask: int):
-        ints, den = self._spec.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
-        try:
-            value = self[mask] = self._exact(ints[-1], den)
-        except OverflowError:
-            raise self._out_of_range() from None
-        self._gate(ints[-1:], den)
-        return value
 
     def _out_of_range(self) -> DomainError:
         return DomainError(f"{self._name}: a value exceeds the binary64 range")
@@ -330,10 +326,13 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
 
     def densities(x, y) -> list:
         rho = density_ratios(x, y, labels)
-        # a binary64 quotient beyond the range rounds to inf; the exact density is finite
-        if as_float and not all(map(math.isfinite, rho)):
-            u = next(u for u, t in enumerate(rho) if not math.isfinite(t))
-            raise DomainError(f"density of element {labels[u]} exceeds the binary64 range")
+        # a binary64 quotient beyond the range rounds to inf; the exact density is
+        # finite.  A finite sum clears every quotient; finite quotients may still
+        # sum past the range, so only a scan names the culprit
+        if as_float and not math.isfinite(sum(rho)):
+            for u, t in enumerate(rho):
+                if not math.isfinite(t):
+                    raise DomainError(f"density of element {labels[u]} exceeds the binary64 range")
         return rho
 
     sigma0 = cfg.initial_permutation or Permutation.identity(inst.n)
@@ -346,7 +345,7 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
     for k in range(cfg.iterations):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
         rho = densities(x, y)
-        order = _removal_order(inst.ground.full_mask, x, f, gamma) if greedy else density_order(rho)
+        order = _removal_order(inst.n, x, f, gamma) if greedy else density_order(rho)
         if record is not None:
             record(k, rho, order, x, y)
         keep = 1 - gamma
@@ -355,27 +354,43 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
     return x, y, densities(x, y)
 
 
-def _removal_order(full: int, x, f: _Memo, gamma) -> tuple[int, ...]:
-    """Greedy++'s order, built back to front: from the remaining set, remove
-    the element of smallest blended score (1 - gamma) x_u + gamma f(u | rest)."""
+def _removal_order(n: int, x, f: _Memo, gamma) -> tuple[int, ...]:
+    """Greedy++'s order, built back to front: from the remaining set R, remove
+    the element of smallest blended score (1 - gamma) x_u + gamma f(u | R - u),
+    the first in index order on a tie.
+
+    f(R - u) is f(R) less entry u of f's integer marginal vector at R, and
+    both values are converted from those integers as the memo converts a
+    stored one, so every score is the one a lookup of f(R - u) would give.
+    """
+    spec = f._spec
     keep = 1 - gamma
-    remaining = full
+    exact = f._exact
+    vec, den = spec.marginal_vector((1 << n) - 1, n)
+    neighbours = spec.neighbours if isinstance(spec, EdgesInside) else None
+    top = f.top  # f(R) * den
+    kept = [keep * xu for xu in x]
+    remaining = list(range(n))
+    mask = (1 << n) - 1
     order_rev = []
-    f_rem = f[remaining]
-    while remaining:
-        best_u = None
-        best_score = None
-        m = remaining
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            score = keep * x[u] + gamma * (f_rem - f[remaining ^ (1 << u)])
-            if best_score is None or score < best_score:
-                best_score = score
-                best_u = u
-        order_rev.append(best_u)
-        remaining ^= 1 << best_u
-        f_rem = f[remaining]
+    try:
+        while remaining:
+            rest = [top - vec[u] for u in remaining]  # f(R - u) * den
+            f._gate(rest, den)
+            f_rem = exact(top, den)
+            scores = [kept[u] + gamma * (f_rem - exact(r, den)) for u, r in zip(remaining, rest)]
+            i = min(range(len(scores)), key=scores.__getitem__)
+            b = remaining.pop(i)
+            order_rev.append(b)
+            top = rest[i]
+            mask ^= 1 << b
+            if neighbours is None:
+                vec = spec.marginal_vector(mask, n)[0]
+            elif b < len(neighbours):  # an element past every edge has none
+                for v, w in neighbours[b]:
+                    vec[v] -= w
+    except OverflowError:
+        raise f._out_of_range() from None
     return tuple(reversed(order_rev))
 
 

@@ -162,6 +162,26 @@ MUTANTS = [
            "out[u] = keep * x[u] + gamma * (cur - prev)\n                prev = cur",
            "out[u] = keep * x[u] + gamma * (cur - prev)",
            (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_mix_is_the_vertex_mixed_in")),
+    # marginal vectors: one pass per spec, under value's mask rule
+    Mutant("complement-vector-at-mask", "instance.py",
+           "return self.base._vector((1 << self.n) - 1 ^ mask, n)", "return self.base._vector(mask, n)",
+           ("tests/test_value_layer.py::test_marginal_vector_is_the_value_differences",)),
+    Mutant("concave-member-takes-the-outer-increment", "instance.py",
+           "return [inside if mask >> u & 1 else outside", "return [outside if mask >> u & 1 else outside",
+           ("tests/test_value_layer.py::test_marginal_vector_is_the_value_differences",)),
+    Mutant("marginal-vector-without-mask-rule", "instance.py",
+           "self._fit(mask)\n        if self._n is not None", "if self._n is not None",
+           ("tests/test_value_layer.py::test_marginal_vector_refuses_what_value_refuses",)),
+    Mutant("marginal-vector-of-another-size", "instance.py",
+           "if self._n is not None and n != self._n:", "if False:",
+           ("tests/test_value_layer.py::test_marginal_vector_refuses_another_size",)),
+    # Greedy++'s removals read and update f's marginal vector
+    Mutant("greedypp-skips-a-neighbour-update", "solver.py",
+           "for v, w in neighbours[b]:", "for v, w in neighbours[b][1:]:",
+           (f"{VALUES}::test_greedypp_edge_updates_match_chain_walk_removals",)),
+    Mutant("removal-scores-skip-the-gate", "solver.py",
+           "            f._gate(rest, den)\n", "",
+           (f"{VALUES}::test_removals_open_the_resolution_gate",)),
     # extremes cross-checks only what the structure proofs leave open
     Mutant("extremes-always-scans", "instance.py",
            "if n <= 7 and not (", "if n <= 7 and True or (",
@@ -218,8 +238,11 @@ MUTANTS = [
            ("tests/test_divergence.py::test_sup_form_matches_enumeration",)),
     # densities and objective values beyond binary64
     Mutant("density-range-check-off", "solver.py",
-           "if as_float and not all(map(math.isfinite, rho)):", "if False:",
+           "if as_float and not math.isfinite(sum(rho)):", "if False:",
            (f"{SOLVER}::TestFrankWolfe::test_density_beyond_binary64_range",)),
+    Mutant("densities-raise-on-an-overflowing-sum", "solver.py",
+           "                if not math.isfinite(t):\n", "                if True:\n",
+           (f"{SOLVER}::TestFrankWolfe::test_finite_densities_that_sum_past_binary64",)),
     Mutant("rational-overflow-not-caught", "solver.py",
            "except OverflowError:  # a rational beyond the binary64 range",
            "except ZeroDivisionError:",
@@ -337,10 +360,10 @@ MUTANTS = [
            "    check_order(sigma, inst.n)\n", "",
            (f"{SOLVER}::TestPartialDerivative::test_rejects_an_order_of_another_length",)),
     Mutant("zero-share-check-off", "permutation.py",
-           "if 0 in y:", "if False:",
+           "if 0 not in y:", "if True:",
            (f"{SOLVER}::TestFinalIterate::test_same_error_on_both_paths",)),
     Mutant("zero-share-names-last", "permutation.py",
-           "u = next(u for u, yu in enumerate(y) if yu == 0)", "u = max(u for u, yu in enumerate(y) if yu == 0)",
+           "u = y.index(0)", "u = max(u for u, yu in enumerate(y) if yu == 0)",
            (f"{SOLVER}::TestFinalIterate::test_first_zero_cost_share_is_named",)),
 ]
 

@@ -444,20 +444,34 @@ class TestExtremes:
         else:
             assert dm.extremes(inst).f_min == phi[1]
 
-    def test_totals_evaluated_once(self, monkeypatch):
-        # n singletons and n co-singletons per function, plus f(V) and g(V)
-        n = 10
-        inst = dm.DualModularInstance(
-            ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
-            f=dm.EdgesInside(tuple((u, (u + 1) % n, F(u + 1)) for u in range(n))),
-            g=dm.Linear(tuple(F(1, u + 1) for u in range(n))),
-        )
+    def test_four_vectors_and_no_value_call(self, monkeypatch):
+        # the closed forms read two marginal vectors per function, and no single value;
+        # tables and complemented specs are left unproven, so n <= 7 is cross-checked
+        rng = np.random.default_rng(20)
+        cases = []
+        for n in (1, 3, 5, 7, 10):
+            inst = random_instance(rng, n)
+            unproven = dm.DualModularInstance(
+                ground=inst.ground,
+                f=dm.ExplicitTable(tuple(value_tables(inst)[0])),
+                g=dm.ComplementOf(dm.ComplementOf(inst.g, n), n),
+            )
+            cases += [inst, unproven]
+
+        def value(self, mask):
+            raise AssertionError(f"{type(self).__name__}.value called")
+
         calls = []
-        for cls in (dm.EdgesInside, dm.Linear):
-            value = cls.value
-            monkeypatch.setattr(cls, "value", lambda self, mask, value=value: calls.append(mask) or value(self, mask))
-        dm.extremes(inst)
-        assert len(calls) == 4 * n + 2 == 42
+        vector = dm.SetFunctionSpec.marginal_vector
+        monkeypatch.setattr(dm.SetFunctionSpec, "value", value)
+        monkeypatch.setattr(dm.SetFunctionSpec, "marginal_vector",
+                            lambda self, mask, n: calls.append(mask) or vector(self, mask, n))
+        for inst in cases:
+            calls.clear()
+            got = dm.extremes(inst)
+            assert calls == [0, inst.ground.full_mask] * 2
+            if inst.n <= 7:
+                assert got == extremes_by_permutations(inst)
 
 
 class TestMarginalMonotonicity:

@@ -187,6 +187,16 @@ class TestFrankWolfe:
         assert trace.rows[-1].phi_quadratic == 10**610 + 10**580  # y_a rho_a^2 + y_b rho_b^2
         assert {(r.phi_kl, r.phi_eg) for r in trace.rows} == {(None, None)}
 
+    @pytest.mark.parametrize("variant", ["fw", "greedypp"])
+    def test_finite_densities_that_sum_past_binary64(self, variant):
+        # both densities are 10^308, a float each, and their sum is not: no error
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((F(10**300),) * 2), g=dm.Linear((F(1, 10**8),) * 2)
+        )
+        x, y, rho = dm.final_iterate(inst, dm.SolverConfig(iterations=5, variant=variant))
+        assert all(map(math.isfinite, rho)) and sum(rho) == math.inf
+        assert rho == (1e300 / 1e-8,) * 2
+
     def test_objective_beyond_binary64_range(self):
         # every density is a float, but y_a rho_a^2 = 10^-100 (10^300)^2 is not
         inst = dm.DualModularInstance(

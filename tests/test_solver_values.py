@@ -6,7 +6,9 @@ The references here repeat the same iteration reading the values from full
 2^n tables (n <= 8), or from a fresh ``spec.value`` call on every visit
 (n = 21, where a table would hold two million values each), and must give
 identical rows and final x, y.  The step itself is checked against the one
-it replaced, which took each vertex and then mixed it in.
+it replaced, which took each vertex and then mixed it in, and Greedy++'s
+removals, read off f's marginal vectors, against the memo queries that
+walked the chain of each f(R - u).
 """
 
 import functools
@@ -143,14 +145,15 @@ def size_only(spec):
 
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
 def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
-    """Every value comes from a ``prefixes`` call.  One over all n elements is
-    a walk, and a shorter chain is a query for its last mask.  A size-only
-    function is walked exactly once, on the first order.  Any other is
-    walked only for an order with an unstored prefix, and its walks store
-    exactly the prefixes the run visits.  Frank-Wolfe makes no chain query.
-    Greedy++'s removal queries ask for each mask at most once, and never for
-    a mask a walk stored."""
+    """Every value comes from a ``prefixes`` walk over all n elements, made
+    only for an order with an unstored prefix.  A size-only function is
+    walked exactly once, on the first order; any other function's walks
+    store exactly the prefixes the run visits.  Neither variant makes a
+    shorter chain query: Greedy++ reads its removals off f's marginal
+    vector, once at V per step, and an edge reward's vector is updated in
+    place after that."""
     events = []
+    vectors = []
     n = 10
 
     def recording(cls):
@@ -164,6 +167,9 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
 
     for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality, dm.ComplementOf):
         recording(cls)
+    vector = dm.SetFunctionSpec.marginal_vector
+    monkeypatch.setattr(dm.SetFunctionSpec, "marginal_vector",
+                        lambda self, mask, n: vectors.append((self, mask)) or vector(self, mask, n))
     rng = np.random.default_rng(53)
     runs = cases(rng, n)
     # a size-only reward too: the complement of a concave cost is supermodular
@@ -174,44 +180,38 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
         (dm.DualModularInstance(ground=inst.ground, f=reward, g=inst.g), "fw"),
         (dm.DualModularInstance(ground=inst.ground, f=reward, g=linear.g), "greedypp"),
     ]
+    full = (1 << n) - 1
     for inst, variant in runs:
         events.clear()
+        vectors.clear()
         cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
         trace = dm.solve(inst, cfg)
         orders = [dm.Permutation.identity(n)] + [r.sigma for r in trace.rows]
         visited = set().union(*(prefix_set(s.order) for s in orders))
+        assert all(len(chain) == n for _, chain in events)
         for spec in (inst.f, inst.g):
             stored = set()
             walked = []
             for who, chain in events:
-                if who is not spec:
-                    continue
-                masks = prefix_set(chain)
-                if len(chain) == n:
-                    # a walk only for an order with an unstored prefix
+                if who is spec:
+                    masks = prefix_set(chain)
                     assert not masks <= stored
                     walked.append(chain)
                     stored |= masks
-                else:
-                    # a Greedy++ removal query for the chain's last mask, never a stored one
-                    mask = sum(1 << u for u in chain)
-                    assert mask not in stored
-                    stored.add(mask)
             if size_only(spec):
                 # every later order reads the first walk's marginals by position
                 assert walked == [orders[0].order]
             else:
                 assert walked and len(walked) == len(set(walked))
-            if variant == "greedypp" and spec is inst.f:
-                # the removal queries visit every prefix of the order they build
-                assert visited <= stored
-            elif not size_only(spec):
                 assert stored == visited
+        read = [mask for who, mask in vectors if who is inst.f]
         if variant == "fw":
-            # Frank-Wolfe reads every value off a walk, nested specs included
-            assert all(len(chain) == n for _, chain in events)
+            assert vectors == []
+        elif isinstance(inst.f, dm.EdgesInside):
+            assert read == [full] * 6
         else:
-            assert any(who is inst.f and len(chain) < n for who, chain in events)
+            assert read.count(full) == 6 and len(read) > 6
+        assert all(who is inst.f for who, _ in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,9 @@ class VertexThenMix(dict):
     ``vertex`` reads an order's stored prefixes, and a miss walks the order
     and stores all n + 1 values; every function, size-only or not, walks
     each order with an unstored prefix.  ``mix`` takes the vertex and then
-    mixes it in with a list comprehension.
+    mixes it in with a list comprehension.  ``memo[mask]``, the query of
+    :func:`chain_walk_removal_order`, walks the chain of an unstored mask's
+    elements and stores and gates its value.
     """
 
     def __init__(self, spec, as_float, name, labels):
@@ -288,6 +290,30 @@ class VertexThenMix(dict):
                         f"at the values of {self._name} around it, so it rounds to 0"
                     )
         return c
+
+
+def chain_walk_removal_order(n, x, f, gamma):
+    """Greedy++'s order as the solver built it before marginal vectors, kept
+    as an oracle: every f(R) and f(R - u) is a memo query, ``f[mask]``."""
+    keep = 1 - gamma
+    remaining = (1 << n) - 1
+    order_rev = []
+    f_rem = f[remaining]
+    while remaining:
+        best_u = None
+        best_score = None
+        m = remaining
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            score = keep * x[u] + gamma * (f_rem - f[remaining ^ (1 << u)])
+            if best_score is None or score < best_score:
+                best_score = score
+                best_u = u
+        order_rev.append(best_u)
+        remaining ^= 1 << best_u
+        f_rem = f[remaining]
+    return tuple(reversed(order_rev))
 
 
 small = st.sampled_from([F(1, 3), F(1), F(2), F(5, 2), F(7)])
@@ -388,15 +414,63 @@ def outcomes(inst, cfg):
     return out
 
 
+def chain_walk_outcomes(inst, cfg):
+    """``outcomes`` with the step and the Greedy++ removals the solver ran before."""
+    with mock.patch.object(solver, "_Memo", VertexThenMix), \
+            mock.patch.object(solver, "_removal_order", chain_walk_removal_order):
+        return outcomes(inst, cfg)
+
+
 @pytest.mark.parametrize("unresolved", [False, True], ids=["resolved", "unresolved"])
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_step_matches_vertex_then_mix(unresolved, data):
     # repr tells every float apart, -0.0 from 0.0 and each nan's place included
     inst, cfg = data.draw(st.integers(1, 6).flatmap(lambda n: runs_on(n, unresolved)))
-    got = outcomes(inst, cfg)
-    with mock.patch.object(solver, "_Memo", VertexThenMix):
-        assert got == outcomes(inst, cfg)
+    assert outcomes(inst, cfg) == chain_walk_outcomes(inst, cfg)
+
+
+def test_removals_open_the_resolution_gate():
+    # the walk of (b, a) stores only f(b) = 1 and f(a, b) = 2; the first removal
+    # also converts f(a) = 2^60, past 2^52, which opens f's resolution gate
+    # before the step's mix, as a memo query for f(a) did
+    f = dm.ExplicitTable((F(0), F(2**60), F(1), F(2)))
+    inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=f, g=dm.Linear((F(1), F(1))))
+    cfg = dm.SolverConfig(iterations=1, variant="greedypp", initial_permutation=dm.Permutation((1, 0)))
+    for memo, removal in ((_Memo, solver._removal_order), (VertexThenMix, chain_walk_removal_order)):
+        gates = []
+
+        def recording(n, x, f, gamma, removal=removal):
+            gates.append(f._unresolved)
+            order = removal(n, x, f, gamma)
+            gates.append(f._unresolved)
+            return order
+
+        with mock.patch.object(solver, "_Memo", memo), mock.patch.object(solver, "_removal_order", recording):
+            dm.final_iterate(inst, cfg)
+        assert gates == [False, True]
+
+
+def edge_reward_run(rng, n, T, arithmetic):
+    """Greedy++ on 3n random edges plus a loop on each element, over a linear cost."""
+    edges = [(int(u), int(v), rand_frac(rng)) for u, v in rng.integers(0, n, size=(3 * n, 2))]
+    edges += [(u, u, rand_frac(rng)) for u in range(n)]
+    inst = dm.DualModularInstance(
+        ground=dm.GroundSet(tuple(f"v{i}" for i in range(n))),
+        f=dm.EdgesInside(tuple(edges)),
+        g=dm.Linear(tuple(rand_frac(rng) for _ in range(n))),
+    )
+    return inst, dm.SolverConfig(iterations=T, variant="greedypp", arithmetic=arithmetic, stride=1)
+
+
+@pytest.mark.parametrize("arithmetic,T", [("binary64", 40), ("rational", 8)])
+def test_greedypp_edge_updates_match_chain_walk_removals(arithmetic, T):
+    # the neighbour updates of an edge reward's vector, at sizes the small draws miss
+    rng = np.random.default_rng(55)
+    for n in (12, 24, 48):
+        inst, cfg = edge_reward_run(rng, n, T, arithmetic)
+        dm.final_iterate(inst, cfg)  # the run ends without an error
+        assert outcomes(inst, cfg) == chain_walk_outcomes(inst, cfg)
 
 
 @pytest.mark.parametrize("spec,expected", [

@@ -127,6 +127,42 @@ def test_value_refuses_a_mask_outside_the_ground_set(spec, mask, span):
         spec.value(mask)
 
 
+@pytest.mark.parametrize("spec,mask,span", [p[1:] for p in MASK_PROBES], ids=[p[0] for p in MASK_PROBES])
+def test_marginal_vector_refuses_what_value_refuses(spec, mask, span):
+    with pytest.raises(SchemaError, match=rf"^values: mask {mask} out of table range {span}$"):
+        spec.marginal_vector(mask, 2)
+
+
+@pytest.mark.parametrize("spec,n", [
+    (dm.Linear((F(1), F(2))), 3),
+    (dm.ConcaveOfCardinality((F(0), F(2), F(3))), 1),
+    (dm.ComplementOf(dm.Linear((F(1), F(2))), 2), 3),
+    (dm.ExplicitTable((F(0), F(1), F(2), F(3))), 1),
+], ids=["linear", "concave", "complement", "explicit"])
+def test_marginal_vector_refuses_another_size(spec, n):
+    with pytest.raises(SchemaError, match=rf"^n: {n} elements for a spec built for n=2$"):
+        spec.marginal_vector(0, n)
+    # an edge kind is built for no size, as for value
+    assert dm.EdgesInside(((0, 1, F(1)),)).marginal_vector(0b1, n) == ([0, 1, 0][:n], 1)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_marginal_vector_is_the_value_differences(case, data):
+    # entry u: h(S + u) - h(S) off S, h(S) - h(S - u) on S, over the walks' denominator
+    spec, n = case
+    full = (1 << n) - 1
+    den = spec.prefixes(())[1]
+    for mask in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=3))]:
+        h = fraction_value(spec, mask)
+        expected = [h - fraction_value(spec, mask ^ 1 << u) if mask >> u & 1 else fraction_value(spec, mask | 1 << u) - h
+                    for u in range(n)]
+        ints, vec_den = spec.marginal_vector(mask, n)
+        assert vec_den == den
+        assert all(type(v) is int for v in ints)
+        assert ints == [d * den for d in expected]
+
+
 def test_edges_fit_any_ground_set():
     # an edge kind is built for no size: an element beyond every edge adds nothing
     spec = dm.EdgesInside(((0, 1, F(1)),))
