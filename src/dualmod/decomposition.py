@@ -57,10 +57,6 @@ class DensityDecomposition:
                     f"part densities must strictly decrease, got {hi} then {lo}"
                 )
 
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
     def to_json(self, ground: GroundSet) -> dict:
         return {
             "parts": [ground.labels_of(p) for p in self.parts],

@@ -20,11 +20,9 @@ from .rational import parse_rational
 
 
 class DivergenceKind:
-    """A convex generator theta with its derivative and convexity class."""
+    """A convex generator theta with its derivative."""
 
     name: str = ""
-    strictly_convex: bool = False
-    exact: bool = False  # evaluates to Fraction on Fraction inputs
 
     def theta(self, t):
         raise NotImplementedError
@@ -40,8 +38,6 @@ class DivergenceKind:
 @dataclass(frozen=True)
 class Quadratic(DivergenceKind):
     name = "quadratic"
-    strictly_convex = True
-    exact = True
 
     def theta(self, t):
         return t * t
@@ -53,8 +49,6 @@ class Quadratic(DivergenceKind):
 @dataclass(frozen=True)
 class EntropyKL(DivergenceKind):
     name = "kl"
-    strictly_convex = True
-    exact = False
 
     def theta(self, t):
         if t < 0:
@@ -76,8 +70,6 @@ class EntropyKL(DivergenceKind):
 @dataclass(frozen=True)
 class EisenbergGale(DivergenceKind):
     name = "eg"
-    strictly_convex = True
-    exact = False
 
     def theta(self, t):
         if t <= 0:
@@ -104,8 +96,6 @@ class HockeyStick(DivergenceKind):
 
     gamma: Fraction
     name = "hockey_stick"
-    strictly_convex = False
-    exact = True
 
     def __post_init__(self):
         if self.gamma < 0:

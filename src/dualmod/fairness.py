@@ -1,20 +1,22 @@
 """Fairness checks: locally maximin condition and lexicographic comparison.
 
 An allocation is locally maximin when every density upper level set
-receives exactly its worst-case reward and cost.  The level-set map only
-changes at realized density values, so checking the finitely many distinct
-densities suffices.
+receives exactly its worst-case reward and cost.  Those sets are the
+prefixes of the density order that end where the density drops, so one
+walk of f and one of g along that order give all their values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .decomposition import DensityDecomposition
 from .errors import DecompositionError, SchemaError
 from .instance import DualModularInstance
-from .permutation import Allocation, induced_densities
+from .permutation import Allocation, density_order, induced_densities
 
 
 @dataclass(frozen=True)
@@ -37,23 +39,25 @@ def is_locally_maximin(inst: DualModularInstance, allocation: Allocation) -> Max
     if allocation.n != inst.n:
         raise SchemaError("allocation", f"length {allocation.n} does not match n={inst.n}")
     rho = induced_densities(allocation, labels=inst.ground.labels)
-    distinct = sorted(set(rho), reverse=True)
+    order = density_order(rho)
+    f, df = inst.f.prefixes(order)
+    g, dg = inst.g.prefixes(order)
     rows = []
     violation = None
     mask = 0
     x_sum = 0
     y_sum = 0
-    for level in distinct:
-        for u in range(inst.n):
-            if rho[u] == level:
-                mask |= 1 << u
-                x_sum += allocation.x[u]
-                y_sum += allocation.y[u]
+    for level, members in groupby(order, key=rho.__getitem__):
+        for u in members:
+            mask |= 1 << u
+            x_sum += allocation.x[u]
+            y_sum += allocation.y[u]
+        k = mask.bit_count()
         row = ThresholdRow(
             rho=level,
             mask=mask,
-            reward_slack=x_sum - inst.f.value(mask),
-            cost_slack=inst.g.value(mask) - y_sum,
+            reward_slack=x_sum - Fraction(f[k], df),
+            cost_slack=Fraction(g[k], dg) - y_sum,
         )
         rows.append(row)
         if violation is None and (row.reward_slack != 0 or row.cost_slack != 0):

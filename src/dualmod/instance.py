@@ -104,13 +104,6 @@ class GroundSet:
             return e
         raise SchemaError("element", f"{e!r} is neither a label nor an element index below {self.n}")
 
-    def mask_of(self, elements) -> int:
-        """Mask from an iterable of labels or element indices."""
-        mask = 0
-        for e in elements:
-            mask |= 1 << self.element(e)
-        return mask
-
     def labels_of(self, mask: int) -> list[str]:
         self.check_mask(mask)
         return [self.labels[i] for i in range(self.n) if mask >> i & 1]
@@ -128,6 +121,7 @@ def _over_common_den(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 
 PROPERTIES = ("supermodular", "submodular", "monotone", "strictly_monotone")
+_size_only_of_base = property(lambda self: self.base._size_only)  # the wrappers' _size_only: their base's
 
 
 def _proven(**holds: bool) -> dict:
@@ -160,6 +154,7 @@ class SetFunctionSpec:
     """
 
     _n: Optional[int] = None  # the size of the ground set a kind is built for; None: it fits any
+    _size_only = False  # True where h(S) depends on |S| alone, so walks of any two orders agree
 
     def _fit(self, mask: int) -> None:
         n = self._n
@@ -379,6 +374,7 @@ class ConcaveOfCardinality(SetFunctionSpec):
 
     phi: tuple[Fraction, ...]
     _n = property(lambda self: len(self.phi) - 1)
+    _size_only = True
 
     def __post_init__(self):
         if not self.phi or self.phi[0] != 0:
@@ -435,6 +431,7 @@ class Scaled(SetFunctionSpec):
     base: SetFunctionSpec
     factor: Fraction
     _n = property(lambda self: self.base._n)
+    _size_only = _size_only_of_base
 
     def __post_init__(self):
         if self.factor < 0:
@@ -474,6 +471,7 @@ class Perturbed(SetFunctionSpec):
     base: SetFunctionSpec
     eta: Fraction
     _n = property(lambda self: self.base._n)
+    _size_only = _size_only_of_base
 
     def __post_init__(self):
         if self.eta < 0:
@@ -516,6 +514,7 @@ class ComplementOf(SetFunctionSpec):
     base: SetFunctionSpec
     n: int
     _n = property(lambda self: self.n)
+    _size_only = _size_only_of_base
 
     def table(self, n: int) -> tuple[list[int], int]:
         b, den = self.base.table(n)
@@ -831,6 +830,7 @@ def normalize(inst: DualModularInstance) -> DualModularInstance:
         f=Scaled(inst.f, Fraction(1, 1) / fv),
         g=Scaled(inst.g, Fraction(1, 1) / gv),
         normalized=True,
+        check_totals=False,  # the factors make both totals exactly 1
     )
 
 

@@ -47,16 +47,7 @@ from typing import Optional, Sequence
 
 from .divergence import QUADRATIC, DivergenceKind, HockeyStick
 from .errors import DomainError, NotLinearCost, SchemaError, StructuralError
-from .instance import (
-    ComplementOf,
-    ConcaveOfCardinality,
-    DualModularInstance,
-    EdgesInside,
-    Perturbed,
-    Scaled,
-    SetFunctionSpec,
-    extremes,
-)
+from .instance import DualModularInstance, EdgesInside, SetFunctionSpec, extremes
 from .permutation import Permutation, check_order, density_order, density_ratios, marginals, vertex
 from .rational import format_rational
 
@@ -173,7 +164,7 @@ class _Memo(dict):
     the stored prefixes.  The first time a prefix of order is not stored,
     ``_walk`` makes one ``spec.prefixes`` walk, which converts and stores
     all n + 1 values and takes c in the same pass; the run's first iterate
-    is such a walk.  A size-only function (:func:`_size_only`) has the
+    is such a walk.  A size-only function (``spec._size_only``) has the
     same marginal at position i of every order, so it is walked once per
     run and every later order reads that walk's marginals by position.
     ``top`` is the last walk's integer h(V), where Greedy++'s removals
@@ -205,7 +196,6 @@ class _Memo(dict):
         self._exact = operator.truediv if as_float else Fraction
         self._as_float = as_float
         self._unresolved = False  # binary64: some stored value is outside the bounds above
-        self._size_only = _size_only(spec)
         self._by_position = None  # a size-only function's marginals by position, from its walk
         self.top = None  # h(V) * den, from the last walk
 
@@ -249,7 +239,7 @@ class _Memo(dict):
             raise self._out_of_range() from None
         self._gate(ints, den)
         self.top = ints[-1]
-        if self._size_only:
+        if self._spec._size_only:
             self._by_position = [out[u] for u in order]
         return self._checked(order, out, ints, den)
 
@@ -429,14 +419,6 @@ def _trace(inst: DualModularInstance, cfg: SolverConfig, variant: str) -> Solver
 def frank_wolfe(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:
     """Run the density-sorting iteration for cfg.iterations steps."""
     return _trace(inst, cfg, "fw")
-
-
-def _size_only(spec: SetFunctionSpec) -> bool:
-    """Whether spec is phi(|S|), or scaled, perturbed or complemented phi(|S|): a
-    function of |S| alone, whose walks of any two orders give the same prefixes."""
-    while isinstance(spec, (Scaled, Perturbed, ComplementOf)):
-        spec = spec.base
-    return isinstance(spec, ConcaveOfCardinality)
 
 
 def solve(inst: DualModularInstance, cfg: SolverConfig) -> SolverTrace:

@@ -33,6 +33,14 @@ def hardness():
     return dm.load_instance(fixture_path("hardness"))
 
 
+def mask_of(ground, elements) -> int:
+    """Mask from an iterable of labels or element indices."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << ground.element(e)
+    return mask
+
+
 def fraction_value(spec, mask):
     """The spec's value in Fractions from its raw inputs, without the integer layer."""
     if isinstance(spec, dm.ExplicitTable):

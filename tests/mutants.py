@@ -137,12 +137,14 @@ MUTANTS = [
            ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
     # the step mixes stored prefixes, or a size-only function's marginals by
     # position, straight into the iterate
-    Mutant("size-path-for-every-kind", "solver.py",
-           "return isinstance(spec, ConcaveOfCardinality)", "return True",
-           (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_memo_matches_full_table_walk")),
-    Mutant("size-path-for-unequal-linear", "solver.py",
-           "return isinstance(spec, ConcaveOfCardinality)", 'return isinstance(spec, ConcaveOfCardinality) or hasattr(spec, "weights")',
-           (f"{VALUES}::test_size_only_kinds", f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("size-only-for-every-kind", "instance.py",
+           "_size_only = False  #", "_size_only = True  #",
+           (f"{VALUES}::test_size_only_kinds", f"{STRUCTURE}::test_size_only_specs_take_one_value_per_size",
+            f"{VALUES}::test_memo_matches_full_table_walk")),
+    Mutant("complement-size-only-not-delegated", "instance.py",
+           "_n = property(lambda self: self.n)\n    _size_only = _size_only_of_base\n",
+           "_n = property(lambda self: self.n)\n",
+           (f"{VALUES}::test_size_only_kinds",)),
     Mutant("size-only-walked-again", "solver.py",
            "self._by_position = [out[u] for u in order]", "pass",
            (f"{VALUES}::test_each_mask_evaluated_at_most_once",)),
@@ -324,6 +326,10 @@ MUTANTS = [
     Mutant("allocation-length-check-off", "fairness.py",
            "if allocation.n != inst.n:", "if False:",
            ("tests/test_fairness.py::TestLocallyMaximin::test_allocation_of_another_length",)),
+    Mutant("maximin-drops-the-last-level", "fairness.py",
+           "        rows.append(row)\n", "        if k == inst.n:\n            break\n        rows.append(row)\n",
+           ("tests/test_fairness.py::TestLocallyMaximin::test_one_walk_matches_the_level_loop",
+            "tests/test_fairness.py::TestLocallyMaximin::test_p3_canonical")),
     # decomposition checks that no other test reaches
     Mutant("empty-or-overlapping-part-accepted", "decomposition.py",
            "if p == 0 or union & p:", "if p == 0 and union & p:",

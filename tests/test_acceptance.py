@@ -21,6 +21,7 @@ from conftest import (
     fd_hessian_max_eig,
     fixture_path,
     hessian_closed_form_max,
+    mask_of,
     random_allocation,
     random_consistent_allocation,
     random_instance,
@@ -63,8 +64,8 @@ def test_criterion_1_worked_three_element_example():
     assert report.f_supermodular and report.g_submodular and report.g_monotone
     assert not report.g_strictly_monotone
     assert report.witnesses["g_strictly_monotone"] == (
-        g.mask_of(["a"]),
-        g.mask_of(["a", "w"]),
+        mask_of(g, ["a"]),
+        mask_of(g, ["a", "w"]),
     )
 
     allocation = dm.Allocation(x=(F(1), F(0), F(1)), y=(F(1), F(0), F(2)))
@@ -82,7 +83,7 @@ def test_criterion_2_decomposition_oracle_equivalence(decomposition_pool):
     for inst, dec in decomposition_pool:
         for hi, lo in zip(dec.densities, dec.densities[1:]):
             assert hi > lo
-        if dec.k > 1:
+        if len(dec.parts) > 1:
             res = dm.residual_instance(inst, dec.parts[0])
             tail = dm.density_decomposition(res)
             assert tail.densities == dec.densities[1:]
@@ -189,7 +190,7 @@ def test_criterion_5_hockey_stick_duality():
         a = dm.Allocation(x=trace.final_x, y=trace.final_y)
         prefixes = list(itertools.accumulate(dec.parts, operator.or_))
         for i, rho in enumerate(dec.densities):
-            low = dec.densities[i + 1] if i + 1 < dec.k else F(0)
+            low = dec.densities[i + 1] if i + 1 < len(dec.parts) else F(0)
             gamma = (rho + low) / 2  # strictly between consecutive densities
             gap = dm.duality_gap(inst, prefixes[i], a, gamma)
             # binary64 iterates are feasible only up to rounding, so the

@@ -110,7 +110,7 @@ class TestBruteForceOracle:
             prefixes = list(accumulate(dec.parts, operator.or_))
             ftab, gtab = value_tables(inst)
             for i, hi in enumerate(dec.densities):
-                lo = dec.densities[i + 1] if i + 1 < dec.k else F(0)
+                lo = dec.densities[i + 1] if i + 1 < len(dec.parts) else F(0)
                 if hi == lo:
                     continue
                 gamma = (hi + lo) / 2
@@ -259,7 +259,7 @@ class TestDualityGap:
             a = dm.allocation_from_mixture(inst, one, one)
             prefixes = list(accumulate(dec.parts, operator.or_))
             for i, rho in enumerate(dec.densities):
-                low = dec.densities[i + 1] if i + 1 < dec.k else F(0)
+                low = dec.densities[i + 1] if i + 1 < len(dec.parts) else F(0)
                 gamma = (rho + low) / 2
                 assert dm.duality_gap(inst, prefixes[i], a, gamma) == 0
                 confirmed += 1

@@ -6,7 +6,7 @@ import pytest
 import dualmod as dm
 from dualmod.errors import DecompositionError, DomainError, InfiniteDensity
 
-from conftest import random_instance, value_tables
+from conftest import mask_of, random_instance, value_tables
 
 
 def densest_by_enumeration(inst):
@@ -131,7 +131,7 @@ class TestDensityDecomposition:
             g=dm.Linear(weights),
         )
         dec = dm.density_decomposition(inst)
-        assert dec.k == 1
+        assert len(dec.parts) == 1
         assert dec.parts == (0b111,)
         assert dec.densities == (F(5, 3),)
 
@@ -144,7 +144,7 @@ class TestDensityDecomposition:
 
     def test_p3(self, p3):
         dec = dm.density_decomposition(p3)
-        assert dec.k == 1
+        assert len(dec.parts) == 1
         assert dec.rho_star == (F(2, 3),) * 3
 
     @pytest.mark.parametrize("parts,densities,rho_star", [
@@ -207,9 +207,9 @@ class TestDensityDecomposition:
             dec = dm.density_decomposition(inst)
             assert (dec.parts, dec.densities) == decomposition_by_residual_peeling(inst)
             if family == "pairs":
-                assert dec.k == (n + 1) // 2
+                assert len(dec.parts) == (n + 1) // 2
             if family == "loops":
-                assert dec.k == n
+                assert len(dec.parts) == n
 
     def test_peels_evaluate_no_subset_after_the_table(self, monkeypatch):
         inst = loops_only_instance(np.random.default_rng(14), 12)
@@ -221,7 +221,7 @@ class TestDensityDecomposition:
             return value(self, mask)
 
         monkeypatch.setattr(dm.EdgesInside, "value", counted)
-        assert dm.density_decomposition(inst).k == 12
+        assert len(dm.density_decomposition(inst).parts) == 12
         assert calls == []
 
     def test_later_peel_names_original_mask(self):
@@ -231,17 +231,17 @@ class TestDensityDecomposition:
         g = dm.ExplicitTable(tuple(F(v) for v in (0, 2, 3, 1, 1, 3, 2, 1)))
         ground = dm.GroundSet(("a", "b", "c"))
         inst = dm.DualModularInstance(ground=ground, f=f, g=g)
-        assert dm.maximal_densest_subset(inst) == (ground.mask_of(["a"]), F(3, 2))
+        assert dm.maximal_densest_subset(inst) == (mask_of(ground, ["a"]), F(3, 2))
         with pytest.raises(InfiniteDensity) as exc:
             dm.density_decomposition(inst)
-        assert exc.value.mask == ground.mask_of(["c"])
+        assert exc.value.mask == mask_of(ground, ["c"])
 
     def test_recursion_consistency(self):
         rng = np.random.default_rng(8)
         for _ in range(15):
             inst = random_instance(rng, int(rng.integers(2, 7)))
             dec = dm.density_decomposition(inst)
-            if dec.k == 1:
+            if len(dec.parts) == 1:
                 continue
             res = dm.residual_instance(inst, dec.parts[0])
             tail = dm.density_decomposition(res)

@@ -112,7 +112,7 @@ class TestObjective:
         for kind in (dm.QUADRATIC, dm.ENTROPY_KL, dm.EISENBERG_GALE, dm.HockeyStick(F(1))):
             got = dm.objective(inst, a, kind)
             expected = 2 * kind.theta(F(3, 2))
-            if kind.exact:
+            if isinstance(got, F):
                 assert got == expected
             else:
                 assert got == pytest.approx(expected)
@@ -191,7 +191,6 @@ class TestKindParsing:
             dm.kind_from_string("cauchy")
 
     def test_strict_convexity_flags(self):
-        assert dm.QUADRATIC.strictly_convex
-        assert dm.ENTROPY_KL.strictly_convex
-        assert dm.EISENBERG_GALE.strictly_convex
-        assert not dm.HockeyStick(F(1)).strictly_convex
+        for kind in (dm.QUADRATIC, dm.ENTROPY_KL, dm.EISENBERG_GALE):
+            assert kind in dm.STRICTLY_CONVEX_KINDS
+        assert dm.HockeyStick(F(1)) not in dm.STRICTLY_CONVEX_KINDS

@@ -1,13 +1,15 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import dualmod as dm
 from dualmod.errors import DecompositionError, SchemaError, ZeroCostCoordinate
+from dualmod.fairness import ThresholdRow
 
-from conftest import random_consistent_allocation, random_instance
+from conftest import random_allocation, random_consistent_allocation, random_instance
 
 
 class TestLocallyMaximin:
@@ -64,6 +66,72 @@ class TestLocallyMaximin:
         a = dm.Allocation(x=(F(1), F(0), F(1)), y=(F(1), F(0), F(2)))
         with pytest.raises(ZeroCostCoordinate):
             dm.is_locally_maximin(sec32, a)
+
+    def test_one_walk_matches_the_level_loop(self):
+        tied = float_tied = 0
+        for inst, a in maximin_cases(np.random.default_rng(26)):
+            assert repr(dm.is_locally_maximin(inst, a)) == repr(level_loop_report(inst, a))
+            rho = dm.induced_densities(a)
+            if len(set(rho)) < inst.n:
+                tied += 1
+                float_tied += any(isinstance(r, float) for r in rho)
+        assert tied >= 100 and float_tied >= 80
+
+    def test_no_value_call(self):
+        cases = list(maximin_cases(np.random.default_rng(27)))
+        with mock.patch.object(dm.SetFunctionSpec, "value", side_effect=AssertionError("a value walk")):
+            for inst, a in cases:
+                dm.is_locally_maximin(inst, a)
+
+
+def level_loop_report(inst, allocation):
+    """The report as a scan of all n elements and a ``value`` walk of f and
+    of g per density level, levels by ``sorted(set(rho))``."""
+    rho = dm.induced_densities(allocation, labels=inst.ground.labels)
+    rows = []
+    violation = None
+    mask = 0
+    x_sum = 0
+    y_sum = 0
+    for level in sorted(set(rho), reverse=True):
+        for u in range(inst.n):
+            if rho[u] == level:
+                mask |= 1 << u
+                x_sum += allocation.x[u]
+                y_sum += allocation.y[u]
+        row = ThresholdRow(
+            rho=level,
+            mask=mask,
+            reward_slack=x_sum - inst.f.value(mask),
+            cost_slack=inst.g.value(mask) - y_sum,
+        )
+        rows.append(row)
+        if violation is None and (row.reward_slack != 0 or row.cost_slack != 0):
+            violation = row
+    return dm.MaximinReport(violation is None, tuple(rows), violation)
+
+
+def maximin_cases(rng):
+    """(instance, allocation) pairs: exact mixtures, consistent with the
+    decomposition or not, and shares with up to three tied density levels,
+    each also in binary64 and with every other reward share in binary64 (a
+    level of float and Fraction densities); and binary64 Frank-Wolfe
+    iterates, on the instance and on a linear pair whose reward is twice its
+    cost, where every density is 2.0."""
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        inst = random_instance(rng, n)
+        dec = dm.density_decomposition(inst)
+        y = tuple(F(int(v), int(d)) for v, d in zip(rng.integers(1, 9, size=n), rng.integers(1, 4, size=n)))
+        tied = dm.Allocation(tuple(int(r) * v for r, v in zip(rng.integers(1, 4, size=n), y)), y)
+        for a in (random_consistent_allocation(rng, inst, dec), random_allocation(rng, inst), tied):
+            yield inst, a
+            yield inst, dm.Allocation(tuple(map(float, a.x)), tuple(map(float, a.y)))
+            yield inst, dm.Allocation(tuple(float(v) if u % 2 else v for u, v in enumerate(a.x)), a.y)
+        cfg = dm.SolverConfig(iterations=int(rng.integers(1, 40)))
+        yield inst, dm.Allocation(*dm.final_iterate(inst, cfg)[:2])
+        pair = dm.DualModularInstance(ground=inst.ground, f=dm.Scaled(dm.Linear(y), F(2)), g=dm.Linear(y))
+        yield pair, dm.Allocation(*dm.final_iterate(pair, cfg)[:2])
 
 
 class TestLexCompare:

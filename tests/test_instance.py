@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from dualmod.errors import (
     ZeroTotal,
 )
 
-from conftest import fraction_value, random_instance, value_tables
+from conftest import fraction_value, mask_of, random_instance, value_tables
 
 
 def masks(ground, *labels):
-    return ground.mask_of(labels)
+    return mask_of(ground, labels)
 
 
 def extremes_by_permutations(inst):
@@ -46,19 +47,19 @@ class TestGroundSet:
 
     def test_mask_roundtrip(self):
         g = dm.GroundSet(("a", "w", "b"))
-        m = g.mask_of(["a", "b"])
+        m = mask_of(g, ["a", "b"])
         assert m == 0b101
         assert g.labels_of(m) == ["a", "b"]
 
     def test_element_is_a_label_or_an_index(self):
         g = dm.GroundSet(("a", "w", "b"))
         assert [g.element(e) for e in ("b", 0, 2)] == [2, 0, 2]
-        assert g.mask_of(["w", 2]) == 0b110
+        assert mask_of(g, ["w", 2]) == 0b110
 
     @pytest.mark.parametrize("e", ["z", 3, -1, True, 0.0, None])
     def test_element_rejects_what_names_no_element(self, e):
         g = dm.GroundSet(("a", "w", "b"))
-        for resolve in (g.element, lambda e: g.mask_of([e])):
+        for resolve in (g.element, lambda e: mask_of(g, [e])):
             with pytest.raises(SchemaError):
                 resolve(e)
 
@@ -366,6 +367,14 @@ class TestNormalize:
             assert norm.f.value(s) == inst.f.value(s)
             assert norm.g.value(s) == inst.g.value(s)
         assert norm.normalized
+
+    def test_two_walks(self, sec32):
+        # one value walk of f(V) and one of g(V); the result's totals are 1 by
+        # construction and are not walked again
+        value = dm.SetFunctionSpec.value
+        with mock.patch.object(dm.SetFunctionSpec, "value", autospec=True, side_effect=value) as walks:
+            dm.normalize(sec32)
+        assert [(c.args[0], c.args[1]) for c in walks.call_args_list] == [(sec32.f, 7), (sec32.g, 7)]
 
     def test_sec32_scaling(self, sec32):
         norm = dm.normalize(sec32)

@@ -26,7 +26,7 @@ from dualmod import solver
 from dualmod.errors import DomainError, DualModError
 from dualmod.permutation import marginals
 from dualmod.rational import format_rational
-from dualmod.solver import TraceRow, _Memo, _phi_values, _size_only
+from dualmod.solver import TraceRow, _Memo, _phi_values
 
 from conftest import rand_frac, random_instance, value_tables
 
@@ -483,7 +483,7 @@ def test_greedypp_edge_updates_match_chain_walk_removals(arithmetic, T):
     (dm.Perturbed(dm.EdgesInside(((0, 0, F(1)),)), F(1)), False),
 ], ids=["concave", "nested-wrappers", "edges", "unequal-linear", "scaled-linear", "complemented-table", "perturbed-edges"])
 def test_size_only_kinds(spec, expected):
-    assert _size_only(spec) is expected
+    assert spec._size_only is expected
 
 
 def test_mix_checks_stored_shares_once_values_are_unresolved():

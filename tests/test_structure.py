@@ -159,6 +159,16 @@ PROOFS = [
 ]
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), specs(n).filter(lambda spec: spec._size_only))))
+def test_size_only_specs_take_one_value_per_size(case):
+    # the solver walks a spec whose _size_only is set once per run and reads
+    # every later order's marginals from that walk by position
+    n, spec = case
+    tab, _ = spec.table(n)
+    assert len({(mask.bit_count(), v) for mask, v in enumerate(tab)}) == n + 1
+
+
 @pytest.mark.parametrize("spec,proven", [p[1:] for p in PROOFS], ids=[p[0] for p in PROOFS])
 def test_what_each_kind_proves(spec, proven):
     n = 1 if isinstance(spec, dm.Marginal) else 2
