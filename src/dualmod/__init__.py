@@ -8,29 +8,27 @@ sorting-oracle iterative methods, and analyses the induced principal-agent
 contract problem.
 """
 
-from .instance import (
+from .kinds import (
     ComplementOf,
     ConcaveOfCardinality,
-    DualModularInstance,
     EdgesInside,
     ExplicitTable,
-    Extremes,
-    GroundSet,
     Linear,
     Marginal,
     Perturbed,
     Scaled,
     SetFunctionSpec,
-    StructureReport,
-    complement_instance,
+)
+from .instance import (
+    DualModularInstance,
+    Extremes,
+    GroundSet,
     extremes,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
     normalize,
     residual_instance,
-    verify_dual_modularity,
 )
+from .structure import StructureReport, complement_instance, verify_dual_modularity
+from .files import instance_from_json, instance_to_json, load_instance
 from .permutation import (
     Allocation,
     MembershipReport,

@@ -21,13 +21,9 @@ from .contracts import analyze_contracts, contract_at, contract_row
 from .decomposition import density_decomposition
 from .divergence import HockeyStick, divergence, hockey_stick_sup_form, kind_from_string
 from .errors import DomainError, DualModError, GroundSetTooLarge, SchemaError, StructuralError
-from .instance import (
-    complement_instance,
-    instance_to_json,
-    load_instance,
-    normalize,
-    verify_dual_modularity,
-)
+from .files import instance_to_json, load_instance
+from .instance import normalize
+from .structure import complement_instance, verify_dual_modularity
 from .rational import format_rational, parse_rational
 from .solver import SolverConfig, error_bounds, final_iterate, solve
 from .permutation import Permutation

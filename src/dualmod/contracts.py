@@ -15,7 +15,8 @@ from fractions import Fraction
 from .decomposition import DensityDecomposition
 from .divergence import HockeyStick, divergence
 from .errors import SchemaError
-from .instance import DualModularInstance, ExplicitTable, GroundSet, Linear
+from .instance import DualModularInstance, GroundSet
+from .kinds import ExplicitTable, Linear
 from .permutation import Allocation
 from .rational import format_rational
 

@@ -36,9 +36,17 @@ class MaximinReport:
 
 def is_locally_maximin(inst: DualModularInstance, allocation: Allocation) -> MaximinReport:
     """Check x(S) = f(S) and y(S) = g(S) on every realized upper level set."""
+    _check_length(inst, allocation)
+    return _level_sets(inst, allocation, induced_densities(allocation, labels=inst.ground.labels))
+
+
+def _check_length(inst: DualModularInstance, allocation: Allocation) -> None:
     if allocation.n != inst.n:
         raise SchemaError("allocation", f"length {allocation.n} does not match n={inst.n}")
-    rho = induced_densities(allocation, labels=inst.ground.labels)
+
+
+def _level_sets(inst: DualModularInstance, allocation: Allocation, rho: Sequence) -> MaximinReport:
+    """:func:`is_locally_maximin` on the allocation's induced densities ``rho``."""
     order = density_order(rho)
     f, df = inst.f.prefixes(order)
     g, dg = inst.g.prefixes(order)
@@ -110,8 +118,9 @@ def equivalence_report(
     """
     if dec.n != inst.n:
         raise DecompositionError("decomposition does not match the instance")
+    _check_length(inst, allocation)
     rho = induced_densities(allocation, labels=inst.ground.labels)
-    report = is_locally_maximin(inst, allocation)
+    report = _level_sets(inst, allocation, rho)
     match = all(r == s for r, s in zip(rho, dec.rho_star))
     return EquivalenceReport(
         densities_match=match,

@@ -15,13 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SchemaError, WeightSumMismatch, ZeroCostCoordinate
-from .instance import (
-    DEFAULT_ENUM_LIMIT,
-    DualModularInstance,
-    SetFunctionSpec,
-    check_size,
-    subset_sums,
-)
+from .instance import DEFAULT_ENUM_LIMIT, DualModularInstance, check_size
+from .kinds import SetFunctionSpec, subset_sums
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,10 @@ class Allocation:
             for i, v in enumerate(vec):
                 if v < 0:
                     raise SchemaError("allocation", f"{name}[{i}] = {v} is negative")
+                # NaN passes the sign test; an int or a Fraction is always finite,
+                # and math.isfinite overflows on a huge one
+                if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+                    raise SchemaError("allocation", f"{name}[{i}] = {v} is not finite")
 
     @property
     def n(self) -> int:

@@ -47,7 +47,8 @@ from typing import Optional, Sequence
 
 from .divergence import QUADRATIC, DivergenceKind, HockeyStick
 from .errors import DomainError, NotLinearCost, SchemaError, StructuralError
-from .instance import DualModularInstance, EdgesInside, SetFunctionSpec, extremes
+from .instance import DualModularInstance, extremes
+from .kinds import EdgesInside, SetFunctionSpec
 from .permutation import Permutation, check_order, density_order, density_ratios, marginals, vertex
 from .rational import format_rational
 

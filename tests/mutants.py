@@ -5,13 +5,15 @@
 
 Each mutant names a file under ``src/dualmod``, an exact snippet of it, a
 replacement, and the tests that must fail once the snippet is replaced.
-The runner first runs every named test on an unchanged copy of ``src/``,
-where all must pass.  Then, for each mutant, it copies ``src/`` to a
-temporary directory, applies that one replacement and runs only the
-mutant's tests there, in a fresh interpreter.  A mutant is caught when one
-of its tests fails.  A snippet that is not found exactly once, or a test id
-that collects nothing, is an error and not a skip, so a refactor that moves
-the code must move its mutants too.  Exits 1 unless every mutant is caught.
+The runner first checks that each chosen mutant's snippet is found exactly
+once in its file, and lists every one that is not (:func:`misplaced`).  It
+then runs every named test on an unchanged copy of ``src/``, where all must
+pass.  Then, for each mutant, it copies ``src/`` to a temporary directory,
+applies that one replacement and runs only the mutant's tests there, in a
+fresh interpreter.  A mutant is caught when one of its tests fails.  A
+misplaced snippet, or a test id that collects nothing, is an error and not
+a skip, so a refactor that moves the code must move its mutants too.  Exits
+1 unless every mutant is caught.
 """
 
 from __future__ import annotations
@@ -42,84 +44,84 @@ STRUCTURE = "tests/test_structure.py"
 
 MUTANTS = [
     # the local second-difference scan of verify
-    Mutant("verify-skips-adjacent-pairs", "instance.py",
+    Mutant("verify-skips-adjacent-pairs", "structure.py",
            "for v in range(u + 1, n):", "for v in range(u + 2, n):",
            ("tests/test_verify_local.py",)),
-    Mutant("verify-tolerance-one", "instance.py",
+    Mutant("verify-tolerance-one", "structure.py",
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv]:",
            "if tab[s | bu] + tab[s | bv] > tab[s] + tab[s | bu | bv] + 1:",
            ("tests/test_verify_local.py",)),
     # structure proven by construction: a rule that claims too much reports a
     # property the scan refutes; one that claims too little refuses a proven
     # instance above the cap
-    Mutant("edges-supermodularity-unproven", "instance.py",
+    Mutant("edges-supermodularity-unproven", "kinds.py",
            "supermodular=True,\n            submodular=not any", "supermodular=False,\n            submodular=not any",
            (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
-    Mutant("edges-submodular-with-a-pair-edge", "instance.py",
+    Mutant("edges-submodular-with-a-pair-edge", "kinds.py",
            "submodular=not any(w > 0 for u, v, w in self.edges if u != v)", "submodular=True",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("edges-monotonicity-unproven", "instance.py",
+    Mutant("edges-monotonicity-unproven", "kinds.py",
            "monotone=True,\n            strictly_monotone=all(u in looped", "monotone=False,\n            strictly_monotone=all(u in looped",
            (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
-    Mutant("edges-strict-with-one-loop", "instance.py",
+    Mutant("edges-strict-with-one-loop", "kinds.py",
            "strictly_monotone=all(u in looped for u in range(n))", "strictly_monotone=any(u in looped for u in range(n))",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("linear-modularity-unproven", "instance.py",
+    Mutant("linear-modularity-unproven", "kinds.py",
            "_proven(supermodular=True, submodular=True, monotone=True,", "_proven(supermodular=True, submodular=False, monotone=True,",
            (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
-    Mutant("linear-strict-with-a-zero-weight", "instance.py",
+    Mutant("linear-strict-with-a-zero-weight", "kinds.py",
            "strictly_monotone=all(w > 0 for w in self.weights)", "strictly_monotone=all(w >= 0 for w in self.weights)",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("concave-supermodular-with-unequal-steps", "instance.py",
+    Mutant("concave-supermodular-with-unequal-steps", "kinds.py",
            "supermodular=len(set(increments)) <= 1", "supermodular=True",
            (f"{STRUCTURE}::test_proofs_agree_with_the_full_scan",)),
-    Mutant("concave-submodularity-unproven", "instance.py",
+    Mutant("concave-submodularity-unproven", "kinds.py",
            "submodular=True,\n            monotone=all(d >= 0", "submodular=False,\n            monotone=all(d >= 0",
            (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
-    Mutant("concave-monotone-with-a-falling-step", "instance.py",
+    Mutant("concave-monotone-with-a-falling-step", "kinds.py",
            "monotone=all(d >= 0 for d in increments)", "monotone=any(d >= 0 for d in increments)",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("concave-strict-with-a-flat-step", "instance.py",
+    Mutant("concave-strict-with-a-flat-step", "kinds.py",
            "strictly_monotone=all(d > 0 for d in increments)", "strictly_monotone=all(d >= 0 for d in increments)",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("scaled-strict-at-factor-zero", "instance.py",
+    Mutant("scaled-strict-at-factor-zero", "kinds.py",
            "if self.factor == 0:", "if False:",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("perturbed-strict-at-eta-zero", "instance.py",
+    Mutant("perturbed-strict-at-eta-zero", "kinds.py",
            'if self.eta > 0 and "monotone" in proven:', 'if "monotone" in proven:',
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("perturbed-strict-over-a-non-monotone-base", "instance.py",
+    Mutant("perturbed-strict-over-a-non-monotone-base", "kinds.py",
            'if self.eta > 0 and "monotone" in proven:', "if self.eta > 0:",
            (f"{STRUCTURE}::test_unknown_is_left_to_the_scan",)),
-    Mutant("complement-keeps-modularity", "instance.py",
+    Mutant("complement-keeps-modularity", "kinds.py",
            "swap.get(p, p): True", "p: True",
            (f"{STRUCTURE}::test_proofs_agree_with_the_full_scan",)),
     # the scans that verify and complement still run, and the cap that guards them
-    Mutant("cap-guards-proven-instances", "instance.py",
+    Mutant("cap-guards-proven-instances", "structure.py",
            "check_size(n if f_open or g_open else 0,", "check_size(n,",
            (f"{STRUCTURE}::test_proven_instance_gets_a_report_above_the_cap",)),
-    Mutant("negative-cap-passes-with-nothing-to-scan", "instance.py",
+    Mutant("negative-cap-passes-with-nothing-to-scan", "structure.py",
            "    check_size(n if f_open or g_open else 0, DEFAULT_VERIFY_LIMIT, max_n",
            "    (f_open or g_open) and check_size(n, DEFAULT_VERIFY_LIMIT, max_n",
            (f"{STRUCTURE}::test_negative_cap_refused_with_nothing_to_scan",)),
-    Mutant("complement-skips-reward-strictness", "instance.py",
+    Mutant("complement-skips-reward-strictness", "structure.py",
            'report, f_strict = _proven_report(inst, max_n, ("supermodular", "monotone", "strictly_monotone"))',
            'report, f_strict = _proven_report(inst, max_n, ("supermodular", "monotone"))',
            ("tests/test_instance.py::TestComplement::test_requires_strict_reward",)),
     # the exact value layer and prefix walks; ``value`` is itself a walk, so a
     # walk is checked against the Fraction oracle of the raw inputs
-    Mutant("perturbed-sizes-off-by-one", "instance.py",
+    Mutant("perturbed-sizes-off-by-one", "kinds.py",
            "return self._lift(self.base.prefixes(order), range(len(order) + 1))",
            "return self._lift(self.base.prefixes(order), range(1, len(order) + 2))",
            ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
-    Mutant("complement-walk-not-reversed", "instance.py",
+    Mutant("complement-walk-not-reversed", "kinds.py",
            "[u for u in range(self.n) if u not in seen][::-1] + list(order)[::-1]",
            "list(order) + [u for u in range(self.n) if u not in seen]",
            ("tests/test_value_layer.py::test_prefixes_are_values_over_one_denominator",)),
-    Mutant("edge-at-earlier-endpoint", "instance.py",
+    Mutant("edge-at-earlier-endpoint", "kinds.py",
            "step[a if a > b else b] += w", "step[a if a < b else b] += w",
            ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
-    Mutant("scaled-drops-denominator", "instance.py",
+    Mutant("scaled-drops-denominator", "kinds.py",
            "return [self.factor.numerator * v for v in values], den * self.factor.denominator",
            "return [self.factor.numerator * v for v in values], den",
            ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
@@ -137,11 +139,11 @@ MUTANTS = [
            ("tests/test_solver_values.py::test_each_mask_evaluated_at_most_once",)),
     # the step mixes stored prefixes, or a size-only function's marginals by
     # position, straight into the iterate
-    Mutant("size-only-for-every-kind", "instance.py",
+    Mutant("size-only-for-every-kind", "kinds.py",
            "_size_only = False  #", "_size_only = True  #",
            (f"{VALUES}::test_size_only_kinds", f"{STRUCTURE}::test_size_only_specs_take_one_value_per_size",
             f"{VALUES}::test_memo_matches_full_table_walk")),
-    Mutant("complement-size-only-not-delegated", "instance.py",
+    Mutant("complement-size-only-not-delegated", "kinds.py",
            "_n = property(lambda self: self.n)\n    _size_only = _size_only_of_base\n",
            "_n = property(lambda self: self.n)\n",
            (f"{VALUES}::test_size_only_kinds",)),
@@ -165,16 +167,16 @@ MUTANTS = [
            "out[u] = keep * x[u] + gamma * (cur - prev)",
            (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_mix_is_the_vertex_mixed_in")),
     # marginal vectors: one pass per spec, under value's mask rule
-    Mutant("complement-vector-at-mask", "instance.py",
+    Mutant("complement-vector-at-mask", "kinds.py",
            "return self.base._vector((1 << self.n) - 1 ^ mask, n)", "return self.base._vector(mask, n)",
            ("tests/test_value_layer.py::test_marginal_vector_is_the_value_differences",)),
-    Mutant("concave-member-takes-the-outer-increment", "instance.py",
+    Mutant("concave-member-takes-the-outer-increment", "kinds.py",
            "return [inside if mask >> u & 1 else outside", "return [outside if mask >> u & 1 else outside",
            ("tests/test_value_layer.py::test_marginal_vector_is_the_value_differences",)),
-    Mutant("marginal-vector-without-mask-rule", "instance.py",
+    Mutant("marginal-vector-without-mask-rule", "kinds.py",
            "self._fit(mask)\n        if self._n is not None", "if self._n is not None",
            ("tests/test_value_layer.py::test_marginal_vector_refuses_what_value_refuses",)),
-    Mutant("marginal-vector-of-another-size", "instance.py",
+    Mutant("marginal-vector-of-another-size", "kinds.py",
            "if self._n is not None and n != self._n:", "if False:",
            ("tests/test_value_layer.py::test_marginal_vector_refuses_another_size",)),
     # Greedy++'s removals read and update f's marginal vector
@@ -231,7 +233,7 @@ MUTANTS = [
            "if bounds.multiplicative_density_upper is None:", "if False:",
            (f"{CLI}::TestSolve::test_zero_f_min_is_one_note_line",)),
     # a negative eta is a schema error
-    Mutant("negative-eta-accepted", "instance.py",
+    Mutant("negative-eta-accepted", "kinds.py",
            "if self.eta < 0:", "if self.eta < -1:",
            ("tests/test_instance.py::TestPerturb::test_negative_eta",)),
     # the hockey-stick sup form in closed form
@@ -260,26 +262,26 @@ MUTANTS = [
     Mutant("negative-cost-read-as-zero", "divergence.py",
            "if yu < 0:", "if yu < -1:",
            (f"{CLI}::test_malformed_input_names_its_field",)),
-    Mutant("non-utf8-file-uncaught", "instance.py",
+    Mutant("non-utf8-file-uncaught", "files.py",
            "except UnicodeDecodeError as exc:", "except KeyError as exc:",
            (f"{CLI}::test_malformed_input_names_its_field",)),
-    Mutant("deep-nesting-uncaught", "instance.py",
+    Mutant("deep-nesting-uncaught", "files.py",
            "except RecursionError:", "except KeyError:",
            (f"{CLI}::test_malformed_input_names_its_field",)),
-    Mutant("phi-at-empty-set-unchecked", "instance.py",
+    Mutant("phi-at-empty-set-unchecked", "kinds.py",
            "if not self.phi or self.phi[0] != 0:", "if not self.phi:",
            (f"{CLI}::test_malformed_input_names_its_field",)),
     # Marginal walks through its base
-    Mutant("marginal-minus-empty-prefix", "instance.py",
+    Mutant("marginal-minus-empty-prefix", "kinds.py",
            "return [v - values[k] for v in values[k:]], den", "return [v - values[0] for v in values[k:]], den",
            ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
     # one denominator per spec: explicit tables walk their cleared cache, and
     # a marginal table indexes its base's table
-    Mutant("explicit-walk-in-mask-order", "instance.py",
+    Mutant("explicit-walk-in-mask-order", "kinds.py",
            "accumulate((1 << u for u in order), int.__or__, initial=0)",
            "accumulate((1 << u for u in sorted(order)), int.__or__, initial=0)",
            ("tests/test_value_layer.py::test_table_and_walks_share_one_denominator",)),
-    Mutant("marginal-table-without-anchor", "instance.py",
+    Mutant("marginal-table-without-anchor", "kinds.py",
            "masks = [self.anchor]  #", "masks = [0]  #",
            ("tests/test_value_layer.py::test_table_is_value_over_one_denominator",
             "tests/test_instance.py::TestResidual::test_residual_of_residual_is_one_view")),
@@ -307,16 +309,16 @@ MUTANTS = [
            "if not math.isfinite(phi):", "if False:",
            (f"{CLI}::test_input_reaches_its_exit_code",)),
     # one value rule: the last prefix of a chain walk, and the mask it accepts
-    Mutant("edge-counted-before-arrival", "instance.py",
+    Mutant("edge-counted-before-arrival", "kinds.py",
            "arrival = [len(order) + 1] * span", "arrival = [0] * span",
            ("tests/test_value_layer.py::test_chain_prefixes_are_table_values",)),
-    Mutant("complement-chain-not-completed", "instance.py",
+    Mutant("complement-chain-not-completed", "kinds.py",
            "[u for u in range(self.n) if u not in seen][::-1] + ", "",
            ("tests/test_value_layer.py::test_chain_prefixes_are_table_values",)),
-    Mutant("value-reads-wrong-prefix", "instance.py",
+    Mutant("value-reads-wrong-prefix", "kinds.py",
            "return Fraction(values[-1], den)", "return Fraction(values[-2], den)",
            ("tests/test_value_layer.py::test_value_of_every_kind_is_its_fraction_value",)),
-    Mutant("mask-rule-ignores-size", "instance.py",
+    Mutant("mask-rule-ignores-size", "kinds.py",
            "if mask < 0 or n is not None and mask >> n:", "if mask < 0:",
            ("tests/test_value_layer.py::test_value_refuses_a_mask_outside_the_ground_set",)),
     # decompositions and allocations that do not fit
@@ -371,6 +373,17 @@ MUTANTS = [
     Mutant("zero-share-names-last", "permutation.py",
            "u = y.index(0)", "u = max(u for u, yu in enumerate(y) if yu == 0)",
            (f"{SOLVER}::TestFinalIterate::test_first_zero_cost_share_is_named",)),
+    Mutant("allocation-accepts-non-finite", "permutation.py",
+           "if not isinstance(v, (int, Fraction)) and not math.isfinite(v):", "if False:",
+           ("tests/test_permutation.py::TestAllocation::test_refuses_a_share_that_is_not_finite",)),
+    # the certify report reads one density pass, after the length check
+    Mutant("equivalence-densities-twice", "fairness.py",
+           "report = _level_sets(inst, allocation, rho)", "report = is_locally_maximin(inst, allocation)",
+           ("tests/test_fairness.py::TestEquivalenceReport::test_densities_computed_once",)),
+    Mutant("equivalence-densities-before-length", "fairness.py",
+           "    _check_length(inst, allocation)\n    rho = induced_densities(allocation, labels=inst.ground.labels)\n    report",
+           "    rho = induced_densities(allocation, labels=inst.ground.labels)\n    _check_length(inst, allocation)\n    report",
+           ("tests/test_fairness.py::TestLocallyMaximin::test_length_checked_before_densities",)),
 ]
 
 
@@ -405,11 +418,29 @@ def _apply(src: str, m: Mutant) -> None:
         fh.write(text.replace(m.old, m.new))
 
 
+def misplaced(mutants) -> list[str]:
+    """Each mutant whose snippet is not found exactly once in its file, with the count."""
+    out = []
+    for m in mutants:
+        try:
+            with open(os.path.join(REPO, "src", "dualmod", m.file), encoding="utf-8") as fh:
+                found = fh.read().count(m.old)
+        except FileNotFoundError:
+            found = 0
+        if found != 1:
+            out.append(f"{m.name}: snippet found {found} times in {m.file}")
+    return out
+
+
 def main(names) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown or not chosen:
         print(f"unknown mutants: {', '.join(sorted(unknown)) or '(none chosen)'}", file=sys.stderr)
+        return 1
+    stale = misplaced(chosen)
+    if stale:
+        print("\n".join(["snippets to move with their code:", *stale]), file=sys.stderr)
         return 1
     started = time.perf_counter()
     tests = sorted({t for m in chosen for t in m.tests})

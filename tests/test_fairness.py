@@ -62,6 +62,13 @@ class TestLocallyMaximin:
         with pytest.raises(SchemaError, match=rf"^allocation: length {size} does not match n=3$"):
             dm.equivalence_report(p3, a, dm.density_decomposition(p3))
 
+    def test_length_checked_before_densities(self, p3):
+        # a zero cost share past the ground set has no label to name
+        a = dm.Allocation(x=(F(1),) * 4, y=(F(1),) * 3 + (F(0),))
+        for check in (dm.is_locally_maximin, lambda inst, a: dm.equivalence_report(inst, a, dm.density_decomposition(inst))):
+            with pytest.raises(SchemaError, match=r"^allocation: length 4 does not match n=3$"):
+                check(p3, a)
+
     def test_zero_cost_propagates(self, sec32):
         a = dm.Allocation(x=(F(1), F(0), F(1)), y=(F(1), F(0), F(2)))
         with pytest.raises(ZeroCostCoordinate):
@@ -173,6 +180,16 @@ class TestEquivalenceReport:
         a = dm.Allocation(x=(F(3),), y=(F(2),))
         rep = dm.equivalence_report(inst, a, dec)
         assert rep.densities_match and rep.locally_maximin and rep.agree
+
+    def test_densities_computed_once(self):
+        # the level walk reads the densities the report computed, and its
+        # report is the one is_locally_maximin gives
+        for inst, a in maximin_cases(np.random.default_rng(28)):
+            dec = dm.density_decomposition(inst)
+            with mock.patch("dualmod.fairness.induced_densities", wraps=dm.induced_densities) as spy:
+                rep = dm.equivalence_report(inst, a, dec)
+            assert spy.call_count == 1
+            assert repr(rep.maximin) == repr(dm.is_locally_maximin(inst, a))
 
     def test_decomposition_of_another_ground_set(self, p3):
         dec = dm.DensityDecomposition(n=4, parts=(0b1111,), densities=(F(1),), rho_star=(F(1),) * 4)

@@ -139,6 +139,16 @@ class TestMembership:
         assert report.x_witness == p3.ground.full_mask
 
 
+class TestAllocation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("nan")], ids=["nan", "inf", "float32-nan"])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_refuses_a_share_that_is_not_finite(self, bad, name):
+        shares = {"x": (0.5, 1.0, 1.0), "y": (1.0, 1.0, 1.0)}
+        shares[name] = shares[name][:1] + (bad,) + shares[name][2:]
+        with pytest.raises(SchemaError, match=rf"^allocation: {name}\[1\] = {bad} is not finite$"):
+            dm.Allocation(**shares)
+
+
 class TestInducedDensities:
     def test_equal_vectors_give_ones(self):
         a = dm.Allocation(x=(F(1, 3), F(2, 3)), y=(F(1, 3), F(2, 3)))

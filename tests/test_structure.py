@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
 from dualmod.errors import DualModError, NotStrictlyMonotone, SchemaError, StructuralError
-from dualmod.instance import _first_local_violation, _first_monotonicity_violations, _structure_report
+from dualmod.structure import _first_local_violation, _first_monotonicity_violations, _structure_report
 
 
 def ground(n):

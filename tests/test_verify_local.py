@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
-from dualmod.instance import _first_local_violation
+from dualmod.structure import _first_local_violation
 
 from conftest import random_instance
 
