@@ -11,7 +11,6 @@ seams, not squeezed under it.  Counts differ between Python versions
 """
 
 import glob
-import io
 import os
 import tokenize
 
@@ -24,8 +23,7 @@ PARSER_STEP = 8192
 
 def significant_tokens(path):
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokenize.generate_tokens(io.StringIO(text).readline))
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokenize.generate_tokens(fh.readline))
 
 
 def test_every_module_below_the_parser_step():
