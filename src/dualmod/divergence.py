@@ -133,7 +133,8 @@ def divergence(kind: DivergenceKind, x: Sequence, y: Sequence):
     """sum_u y_u * theta(x_u / y_u).
 
     Every cost coordinate must be positive; the reward coordinates must be
-    non-negative (strictly positive for the -log t generator).
+    non-negative (strictly positive for the -log t generator).  An int
+    coordinate is read as an exact rational.
     """
     if len(x) != len(y):
         raise SchemaError("divergence", "x and y must have the same length")
@@ -145,6 +146,8 @@ def divergence(kind: DivergenceKind, x: Sequence, y: Sequence):
             raise ZeroCostCoordinate(u)
         if xu < 0:
             raise DomainError(f"negative reward share x[{u}] = {xu}")
+        if isinstance(xu, int):  # an int over an int would be a rounded float
+            xu = Fraction(xu)
         term = yu * kind.theta(xu / yu)
         total = term if total is None else total + term
     return total

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import SchemaError
 from .instance import DualModularInstance, GroundSet
-from .kinds import ComplementOf, ConcaveOfCardinality, EdgesInside, ExplicitTable, Linear, Perturbed, Scaled, SetFunctionSpec
-from .rational import parse_rational
+from .kinds import (ComplementOf, ConcaveOfCardinality, EdgesInside, ExplicitTable, Linear, Marginal, Perturbed, Scaled,
+                    SetFunctionSpec)
+from .rational import format_rational, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,32 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
         raise SchemaError(f"{field_name}.{exc.field}", exc.message) from None
 
 
+def spec_to_json(spec: SetFunctionSpec, n: int) -> dict:
+    """The file form of ``spec`` on n elements, which :func:`spec_from_json` reads back.
+
+    A :class:`Marginal` has no kind of its own: it serialises by
+    materialising its table, as an explicit table.
+    """
+    if isinstance(spec, Marginal):
+        values, den = spec.table(n)
+        spec = ExplicitTable(tuple(Fraction(v, den) for v in values))
+    if isinstance(spec, ExplicitTable):
+        return {"kind": "explicit_table", "values": {str(m): format_rational(v) for m, v in enumerate(spec.values)}}
+    if isinstance(spec, EdgesInside):
+        return {"kind": "edges_inside", "edges": [[u, v, format_rational(w)] for u, v, w in spec.edges]}
+    if isinstance(spec, Linear):
+        return {"kind": "linear", "weights": [format_rational(w) for w in spec.weights]}
+    if isinstance(spec, ConcaveOfCardinality):
+        return {"kind": "concave_of_cardinality", "phi": [format_rational(v) for v in spec.phi]}
+    if isinstance(spec, Scaled):
+        return {"kind": "scaled", "base": spec_to_json(spec.base, n), "factor": format_rational(spec.factor)}
+    if isinstance(spec, Perturbed):
+        return {"kind": "perturbed", "base": spec_to_json(spec.base, n), "eta": format_rational(spec.eta)}
+    if isinstance(spec, ComplementOf):
+        return {"kind": "complement_of", "base": spec_to_json(spec.base, n)}
+    raise NotImplementedError(f"no file form for {type(spec).__name__}")
+
+
 def instance_from_json(obj: dict) -> DualModularInstance:
     if not isinstance(obj, dict):
         raise SchemaError("instance", "top level must be an object")
@@ -111,8 +140,8 @@ def instance_from_json(obj: dict) -> DualModularInstance:
 def instance_to_json(inst: DualModularInstance) -> dict:
     return {
         "labels": list(inst.ground.labels),
-        "f": inst.f.to_json(inst.n),
-        "g": inst.g.to_json(inst.n),
+        "f": spec_to_json(inst.f, inst.n),
+        "g": spec_to_json(inst.g, inst.n),
         "normalized": inst.normalized,
     }
 

@@ -1,13 +1,13 @@
-"""Ground sets and the dual-modular set-function pair.
+"""Ground sets and the dual-modular pair (V, f, g).
 
-A set function on a ground set of size n maps n-bit subset masks to exact
-rationals.  Several structured representations are supported (explicit
-tables, edge counting, linear weights, concave-of-cardinality) together
-with derived wrappers (scaling, per-element perturbation, complementation,
-marginal restriction).  Structural properties -- supermodularity of the
-reward, submodularity and strict monotonicity of the cost -- are proven by
-a kind's construction where its inputs show them, and otherwise *checked
-on every second difference and every one-element step*, never assumed.
+A ground set of n labelled elements, on which subsets are n-bit masks; the
+instance that pairs a reward spec f with a cost spec g on it and checks
+that both fit and have positive totals; the size caps that guard the
+exponential scans; and what is derived from an instance: its normalized
+companion, its residual on V \\ S, and its extremal one-element marginals.
+The spec kinds are in :mod:`dualmod.kinds`, the proofs and scans of the
+structural hypotheses in :mod:`dualmod.structure`, and the file format in
+:mod:`dualmod.files`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .errors import SchemaError
-from .rational import format_rational
 
 
 def subset_sums(vec: Sequence, n: int) -> list:
@@ -101,9 +100,6 @@ class SetFunctionSpec:
     def structure(self, n: int) -> dict:
         return {}
 
-    def to_json(self, n: int) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExplicitTable(SetFunctionSpec):
@@ -140,12 +136,6 @@ class ExplicitTable(SetFunctionSpec):
     def check(self, n: int) -> None:
         if len(self.values) != (1 << n):
             raise SchemaError("values", f"table has {len(self.values)} entries, expected {1 << n}")
-
-    def to_json(self, n: int) -> dict:
-        return {
-            "kind": "explicit_table",
-            "values": {str(m): format_rational(v) for m, v in enumerate(self.values)},
-        }
 
 
 @dataclass(frozen=True)
@@ -242,12 +232,6 @@ class EdgesInside(SetFunctionSpec):
             strictly_monotone=all(u in looped for u in range(n)),
         )
 
-    def to_json(self, n: int) -> dict:
-        return {
-            "kind": "edges_inside",
-            "edges": [[u, v, format_rational(w)] for u, v, w in self.edges],
-        }
-
 
 @dataclass(frozen=True)
 class Linear(SetFunctionSpec):
@@ -283,9 +267,6 @@ class Linear(SetFunctionSpec):
         # modular; adding u gains its weight, which is >= 0
         return _proven(supermodular=True, submodular=True, monotone=True,
                        strictly_monotone=all(w > 0 for w in self.weights))
-
-    def to_json(self, n: int) -> dict:
-        return {"kind": "linear", "weights": [format_rational(w) for w in self.weights]}
 
 
 @dataclass(frozen=True)
@@ -342,9 +323,6 @@ class ConcaveOfCardinality(SetFunctionSpec):
             strictly_monotone=all(d > 0 for d in increments),
         )
 
-    def to_json(self, n: int) -> dict:
-        return {"kind": "concave_of_cardinality", "phi": [format_rational(v) for v in self.phi]}
-
 
 @dataclass(frozen=True)
 class Scaled(SetFunctionSpec):
@@ -379,9 +357,6 @@ class Scaled(SetFunctionSpec):
         if self.factor == 0:
             proven.pop("strictly_monotone", None)
         return proven
-
-    def to_json(self, n: int) -> dict:
-        return {"kind": "scaled", "base": self.base.to_json(n), "factor": format_rational(self.factor)}
 
 
 @dataclass(frozen=True)
@@ -423,9 +398,6 @@ class Perturbed(SetFunctionSpec):
             proven["strictly_monotone"] = True
         return proven
 
-    def to_json(self, n: int) -> dict:
-        return {"kind": "perturbed", "base": self.base.to_json(n), "eta": format_rational(self.eta)}
-
 
 @dataclass(frozen=True)
 class ComplementOf(SetFunctionSpec):
@@ -462,9 +434,6 @@ class ComplementOf(SetFunctionSpec):
         swap = {"supermodular": "submodular", "submodular": "supermodular"}
         return _proven(**{swap.get(p, p): True for p in self.base.structure(n)})
 
-    def to_json(self, n: int) -> dict:
-        return {"kind": "complement_of", "base": self.base.to_json(n)}
-
 
 @dataclass(frozen=True)
 class Marginal(SetFunctionSpec):
@@ -472,7 +441,7 @@ class Marginal(SetFunctionSpec):
 
     ``index_map[i]`` is the position in the original ground set of element i
     of the residual one; with the anchor it covers that ground set.  Used by
-    residual instances only; serialises by materialising its table.
+    residual instances only.
     """
 
     base: SetFunctionSpec
@@ -507,7 +476,3 @@ class Marginal(SetFunctionSpec):
             masks += [m | 1 << u for m in masks]
         a = base[self.anchor]
         return [base[m] - a for m in masks], den
-
-    def to_json(self, n: int) -> dict:
-        values, den = self.table(n)
-        return ExplicitTable(tuple(Fraction(v, den) for v in values)).to_json(n)

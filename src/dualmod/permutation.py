@@ -44,7 +44,8 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Paired reward shares x and cost shares y, indexed by element."""
+    """Paired reward shares x and cost shares y, indexed by element; ints,
+    Fractions or floats, an int share read as an exact rational."""
 
     x: tuple
     y: tuple
@@ -197,13 +198,15 @@ def _first_base_violation(tab: list[int], den: int, vec: Sequence, slack, sign: 
 
 
 def induced_densities(allocation: Allocation, labels: Optional[Sequence[str]] = None) -> tuple:
-    """Per-element reward-to-cost ratios x_u / y_u.
+    """Per-element reward-to-cost ratios x_u / y_u, exact over int and Fraction shares.
 
     Raises :class:`ZeroCostCoordinate` on any y_u = 0: such an element has
     no defined density, the situation the strict-monotonicity assumption on
     the cost function exists to rule out.
     """
-    return tuple(density_ratios(allocation.x, allocation.y, labels))
+    # an int over an int would be a rounded float
+    x = [Fraction(v) if isinstance(v, int) else v for v in allocation.x]
+    return tuple(density_ratios(x, allocation.y, labels))
 
 
 def density_ratios(x: Sequence, y: Sequence, labels: Optional[Sequence[str]] = None) -> list:

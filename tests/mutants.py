@@ -384,6 +384,21 @@ MUTANTS = [
            "    _check_length(inst, allocation)\n    rho = induced_densities(allocation, labels=inst.ground.labels)\n    report",
            "    rho = induced_densities(allocation, labels=inst.ground.labels)\n    _check_length(inst, allocation)\n    report",
            ("tests/test_fairness.py::TestLocallyMaximin::test_length_checked_before_densities",)),
+    # an int share is an exact rational: an int over an int would round
+    Mutant("densities-of-int-shares-rounded", "permutation.py",
+           "x = [Fraction(v) if isinstance(v, int) else v for v in allocation.x]", "x = allocation.x",
+           ("tests/test_permutation.py::TestInducedDensities::test_int_shares_past_the_float_range",
+            "tests/test_fairness.py::TestLocallyMaximin::test_int_shares_keep_close_levels_apart")),
+    Mutant("divergence-of-int-shares-rounded", "divergence.py",
+           "xu = Fraction(xu)", "pass",
+           ("tests/test_divergence.py::TestObjective::test_int_shares_are_exact",)),
+    # the writer: each kind's fields, read back the same
+    Mutant("perturbed-written-without-eta", "files.py",
+           '"eta": format_rational(spec.eta)}', '"eta": "0/1"}',
+           ("tests/test_instance.py::TestJson::test_written_spec_reads_back",)),
+    Mutant("marginal-written-as-its-base", "files.py",
+           "values, den = spec.table(n)\n", "values, den = spec.base.table(n)\n",
+           ("tests/test_instance.py::TestJson::test_written_spec_reads_back",)),
 ]
 
 

@@ -396,6 +396,11 @@ MALFORMED = [
     ("sup-without-hockey-stick", None, ["divergence", "--x", "1,1", "--y", "1,1", "--sup"], 1, "sup: "),
     ("negative-cost-share", None, ["divergence", "--x", "1,1", "--y=-1,1"], 3, "negative cost share y[0] = -1"),
     ("alpha-out-of-range", _instance(), ["contracts", "{path}", "--alpha", "3/2"], 1, "alpha: must lie in [0, 1], got 3/2"),
+    ("no-iterations", _instance(), ["solve", "{path}", "--T", "0"], 1, "iterations: "),
+    ("stride-zero", _instance(), ["solve", "{path}", "--stride", "0"], 1, "stride: "),
+    ("hockey-stick-gamma-negative", _instance(), ["solve", "{path}", "--kind", "hs:-1"], 1, "gamma: "),
+    ("weight-boolean", _instance(f={"kind": "linear", "weights": [True, 1]}), None, 1, "f.weights[0]: "),
+    ("weight-null", _instance(g={"kind": "linear", "weights": [1, None]}), None, 1, "g.weights[1]: "),
 ]
 
 

@@ -165,6 +165,10 @@ class TestDensityDecomposition:
         with pytest.raises(DecompositionError, match="^parts must be nonempty and disjoint$"):
             dm.DensityDecomposition(n=2, parts=parts, densities=densities, rho_star=rho_star)
 
+    def test_parts_cover_the_ground_set(self):
+        with pytest.raises(DecompositionError, match="^parts must cover the ground set$"):
+            dm.DensityDecomposition(n=3, parts=(0b011,), densities=(F(1),), rho_star=(F(1),) * 2)
+
     def test_equal_densities_rejected(self):
         with pytest.raises(DecompositionError, match="^part densities must strictly decrease, got 1 then 1$"):
             dm.DensityDecomposition(n=2, parts=(0b01, 0b10), densities=(F(1), F(1)), rho_star=(F(1), F(1)))
@@ -308,6 +312,11 @@ class TestOptimalObjective:
         dec = dm.density_decomposition(p3)
         for kind in (dm.QUADRATIC, dm.HockeyStick(F(1, 3))):
             assert dm.optimal_objective(dec, p3, kind) == 3 * kind.theta(F(2, 3))
+
+    def test_decomposition_of_another_ground_set(self, p3):
+        dec = dm.DensityDecomposition(n=4, parts=(0b1111,), densities=(F(1),), rho_star=(F(1),) * 4)
+        with pytest.raises(DecompositionError, match="^decomposition does not match the instance$"):
+            dm.optimal_objective(dec, p3, dm.QUADRATIC)
 
     def test_eg_rejects_zero_density(self, tri_iso):
         dec = dm.density_decomposition(tri_iso)

@@ -55,6 +55,10 @@ class TestSupForm:
         assert value == F(1, 4)
         assert mask == 0b01
 
+    def test_length_mismatch(self):
+        with pytest.raises(SchemaError, match="^divergence: x and y must have the same length$"):
+            dm.hockey_stick_sup_form((F(1),), (F(1), F(1)), F(1))
+
     def test_all_negative_gives_empty(self):
         value, mask = dm.hockey_stick_sup_form((F(1, 4), F(1, 4)), (F(1), F(1)), F(2))
         assert value == 0
@@ -116,6 +120,16 @@ class TestObjective:
                 assert got == expected
             else:
                 assert got == pytest.approx(expected)
+
+    def test_int_shares_are_exact(self):
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=dm.Linear((1, 2)), g=dm.Linear((3, 3)))
+        value = dm.objective(inst, dm.Allocation(x=(1, 2), y=(3, 3)), dm.QUADRATIC)
+        assert isinstance(value, F) and value == F(5, 3)
+
+    def test_allocation_of_another_length(self, p3):
+        a = dm.Allocation(x=(F(1), F(1)), y=(F(1), F(1)))
+        with pytest.raises(SchemaError, match="^allocation: length does not match the ground set$"):
+            dm.objective(p3, a, dm.QUADRATIC)
 
     def test_p3_canonical_hockey_stick(self, p3):
         a = dm.Allocation(x=(F(2, 3),) * 3, y=(F(1),) * 3)

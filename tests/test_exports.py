@@ -24,13 +24,13 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.dirname(dm.__file__)
 
 KEPT = {
-    "WeightedPermutationList": "the carrier of a decomposition certificate (ROADMAP item 2)",
-    "allocation_from_mixture": "turns a certificate's mixtures into (x, y) (ROADMAP item 2)",
-    "partial_derivative": "the a-posteriori Frank-Wolfe gap (ROADMAP item 6)",
+    "WeightedPermutationList": "the carrier of a decomposition certificate (ROADMAP item 4)",
+    "allocation_from_mixture": "turns a certificate's mixtures into (x, y) (ROADMAP item 4)",
+    "partial_derivative": "the a-posteriori Frank-Wolfe gap (ROADMAP item 7)",
     "sort_by_density": "the documented name of the sorting oracle",
     "STRICTLY_CONVEX_KINDS": "the paper's strictly convex generators",
-    "WeightedPermutationList.single": "a one-order certificate (ROADMAP item 2)",
-    "WeightedPermutationList.uniform": "a certificate of equally weighted orders (ROADMAP item 2)",
+    "WeightedPermutationList.single": "a one-order certificate (ROADMAP item 4)",
+    "WeightedPermutationList.uniform": "a certificate of equally weighted orders (ROADMAP item 4)",
 }
 
 

@@ -74,6 +74,17 @@ class TestLocallyMaximin:
         with pytest.raises(ZeroCostCoordinate):
             dm.is_locally_maximin(sec32, a)
 
+    def test_int_shares_keep_close_levels_apart(self):
+        # the two densities 10^17 and 10^17 + 1 round to one binary64 value,
+        # which would merge the levels {b} and {a, b} into one tight level
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.Linear((10**17 + 1, 10**17)), g=dm.Linear((1, 1))
+        )
+        report = dm.is_locally_maximin(inst, dm.Allocation(x=(10**17, 10**17 + 1), y=(1, 1)))
+        assert not report.is_locally_maximin
+        assert [row.mask for row in report.thresholds] == [0b10, 0b11]
+        assert report.first_violation == ThresholdRow(rho=10**17 + 1, mask=0b10, reward_slack=1, cost_slack=0)
+
     def test_one_walk_matches_the_level_loop(self):
         tied = float_tied = 0
         for inst, a in maximin_cases(np.random.default_rng(26)):
@@ -180,6 +191,11 @@ class TestEquivalenceReport:
         a = dm.Allocation(x=(F(3),), y=(F(2),))
         rep = dm.equivalence_report(inst, a, dec)
         assert rep.densities_match and rep.locally_maximin and rep.agree
+
+    def test_int_shares_are_exact(self):
+        inst = dm.DualModularInstance(ground=dm.GroundSet(("a", "b")), f=dm.Linear((1, 2)), g=dm.Linear((3, 3)))
+        rep = dm.equivalence_report(inst, dm.Allocation(x=(1, 2), y=(3, 3)), dm.density_decomposition(inst))
+        assert (rep.densities_match, rep.locally_maximin, rep.agree, rep.lex_order) == (True, True, True, 0)
 
     def test_densities_computed_once(self):
         # the level walk reads the densities the report computed, and its

@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
 from dualmod.errors import (
@@ -12,12 +14,21 @@ from dualmod.errors import (
     StructuralError,
     ZeroTotal,
 )
+from dualmod.files import spec_from_json, spec_to_json
 
 from conftest import fraction_value, mask_of, random_instance, value_tables
+from test_structure import specs
 
 
 def masks(ground, *labels):
     return mask_of(ground, labels)
+
+
+def negative_marginal(spec, n):
+    """Whether spec is, or wraps, a marginal with a negative value on n elements."""
+    if isinstance(spec, dm.Marginal):
+        return any(fraction_value(spec, s) < 0 for s in range(1 << n))
+    return isinstance(spec, (dm.Scaled, dm.Perturbed, dm.ComplementOf)) and negative_marginal(spec.base, n)
 
 
 def extremes_by_permutations(inst):
@@ -389,6 +400,14 @@ class TestNormalize:
         with pytest.raises(ZeroTotal):
             dm.DualModularInstance(ground=ground, f=dm.Linear((F(0),)), g=dm.Linear((F(1),)))
 
+    def test_zero_total_not_normalized(self):
+        # an instance built without the totals check, as a residual is
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("x", "y")), f=dm.Linear((F(0), F(0))), g=dm.Linear((F(1), F(1))), check_totals=False
+        )
+        with pytest.raises(ZeroTotal, match=r"^f\(V\) must be positive to normalize$"):
+            dm.normalize(inst)
+
 
 class TestExtremes:
     def test_sec32(self, sec32):
@@ -648,6 +667,26 @@ class TestJson:
         again = dm.instance_from_json(dm.instance_to_json(comp))
         for s in range(4):
             assert again.f.value(s) == comp.f.value(s)
+
+    # n <= 6, where the strategy draws marginals too
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), specs(n))))
+    def test_written_spec_reads_back(self, case):
+        # the same values, and a second write the same bytes; a marginal of a
+        # base that is not monotone can go negative, which no table may hold
+        n, spec = case
+        try:
+            blob = spec_to_json(spec, n)
+        except SchemaError as exc:
+            assert negative_marginal(spec, n) and str(exc).startswith("values: negative value")
+            return
+        again = spec_from_json(blob, dm.GroundSet(tuple(f"v{i}" for i in range(n))), "f")
+        assert [fraction_value(again, s) for s in range(1 << n)] == [fraction_value(spec, s) for s in range(1 << n)]
+        assert json.dumps(spec_to_json(again, n)) == json.dumps(blob)
+
+    def test_spec_of_no_known_kind(self):
+        with pytest.raises(NotImplementedError, match="^no file form for SetFunctionSpec$"):
+            spec_to_json(dm.SetFunctionSpec(), 1)
 
     def test_missing_field_names_culprit(self):
         with pytest.raises(SchemaError) as exc:

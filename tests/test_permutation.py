@@ -132,6 +132,11 @@ class TestMembership:
             a = random_allocation(rng, inst)
             assert dm.check_base_membership(inst, a).both
 
+    def test_allocation_of_another_length(self, p3):
+        a = dm.Allocation(x=(F(1), F(1)), y=(F(1), F(1)))
+        with pytest.raises(SchemaError, match="^allocation: length 2 does not match n=3$"):
+            dm.check_base_membership(p3, a)
+
     def test_sum_constraint(self, p3):
         a = dm.Allocation(x=(F(1), F(1), F(1)), y=(F(1), F(1), F(1)))  # x sums to 3 != 2
         report = dm.check_base_membership(p3, a)
@@ -157,6 +162,10 @@ class TestInducedDensities:
     def test_p3_canonical(self):
         a = dm.Allocation(x=(F(2, 3),) * 3, y=(F(1),) * 3)
         assert dm.induced_densities(a) == (F(2, 3), F(2, 3), F(2, 3))
+
+    def test_int_shares_past_the_float_range(self):
+        # 10^400 / 1 as a binary64 quotient would overflow
+        assert dm.induced_densities(dm.Allocation(x=(10**400, 1), y=(1, 1))) == (F(10**400), F(1))
 
     def test_zero_cost_coordinate(self, sec32):
         a = dm.Allocation(x=(F(1), F(0), F(1)), y=(F(1), F(0), F(2)))

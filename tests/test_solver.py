@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import os
+import traceback
 from fractions import Fraction as F
 
 import numpy as np
@@ -349,6 +350,16 @@ class TestGreedyPlusPlus:
         trace = dm.solve(p3, dm.SolverConfig(iterations=5000, variant="greedypp"))
         assert l2(trace.final_rho, (F(2, 3),) * 3) <= 0.02
 
+    def test_removal_beyond_binary64_range(self):
+        # the first walk, in the identity order, reads f({a}) and f(V) alone; the
+        # first removal reads f(V - a) = f({b}) = 10^400
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("a", "b")), f=dm.ExplicitTable((0, 1, 10**400, 2)), g=dm.Linear((1, 1))
+        )
+        with pytest.raises(DomainError, match="^f: a value exceeds the binary64 range$") as exc:
+            dm.final_iterate(inst, dm.SolverConfig(iterations=1, variant="greedypp"))
+        assert traceback.extract_tb(exc.value.__traceback__)[-1].name == "_removal_order"
+
     def test_requires_linear_cost(self, sec32):
         with pytest.raises(NotLinearCost):
             dm.solve(sec32, dm.SolverConfig(iterations=5, variant="greedypp"))
@@ -422,6 +433,14 @@ class TestErrorBounds:
     def test_bound_beyond_binary64_is_infinite(self, kind):
         b = dm.error_bounds(self._normalized(F(1, 10**120)), kind, 98)
         assert b.absolute_density_upper == b.multiplicative_density_upper == math.inf
+
+    def test_no_iterations(self):
+        with pytest.raises(SchemaError, match="^T: need at least one iteration$"):
+            dm.error_bounds(self._normalized(), dm.QUADRATIC, 0)
+
+    def test_zero_cost_weight(self):
+        with pytest.raises(StructuralError, match="^g_min = 0: the cost function is not strictly monotone$"):
+            dm.error_bounds(self._normalized(F(0)), dm.QUADRATIC, 98)
 
     def test_bounds_vanish_with_iterations(self):
         inst = self._normalized()
