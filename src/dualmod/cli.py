@@ -22,7 +22,6 @@ from .decomposition import density_decomposition
 from .divergence import HockeyStick, divergence, hockey_stick_sup_form, kind_from_string
 from .errors import DomainError, DualModError, GroundSetTooLarge, SchemaError, StructuralError
 from .files import instance_to_json, load_instance
-from .instance import normalize
 from .structure import complement_instance, verify_dual_modularity
 from .rational import format_rational, parse_rational
 from .solver import SolverConfig, error_bounds, final_iterate, solve
@@ -95,13 +94,13 @@ def _cmd_solve(args) -> int:
         "final_rho": {lab: float(v) for lab, v in zip(inst.ground.labels, rho)},
         "phi": phi,
     }
-    # the convergence constants assume f(V) = g(V) = 1, so they are reported
-    # for the normalized companion instance
+    # the convergence constants assume f(V) = g(V) = 1; error_bounds reports
+    # them for the normalized companion instance
     if isinstance(kind, HockeyStick):
         out["error_bounds"] = None
         out["error_bounds_note"] = "no curvature chain for the hockey-stick generator"
     else:
-        bounds = error_bounds(normalize(inst), kind, args.T)
+        bounds = error_bounds(inst, kind, args.T)
         if bounds.multiplicative_density_upper is None:
             print("note: f_min = 0: some element has zero worst-case reward share, "
                   "so the multiplicative density bound is unavailable", file=sys.stderr)

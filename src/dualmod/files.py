@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SchemaError
 from .instance import DualModularInstance, GroundSet
-from .kinds import (ComplementOf, ConcaveOfCardinality, EdgesInside, ExplicitTable, Linear, Marginal, Perturbed, Scaled,
+from .kinds import (ComplementOf, ConcaveOfCardinality, EdgesInside, ExplicitTable, Linear, Perturbed, Scaled,
                     SetFunctionSpec)
 from .rational import format_rational, parse_rational
 
@@ -95,12 +93,8 @@ def spec_from_json(obj, ground: GroundSet, field_name: str) -> SetFunctionSpec:
 def spec_to_json(spec: SetFunctionSpec, n: int) -> dict:
     """The file form of ``spec`` on n elements, which :func:`spec_from_json` reads back.
 
-    A :class:`Marginal` has no kind of its own: it serialises by
-    materialising its table, as an explicit table.
+    A residual's :class:`~dualmod.kinds.Marginal` has no file form.
     """
-    if isinstance(spec, Marginal):
-        values, den = spec.table(n)
-        spec = ExplicitTable(tuple(Fraction(v, den) for v in values))
     if isinstance(spec, ExplicitTable):
         return {"kind": "explicit_table", "values": {str(m): format_rational(v) for m, v in enumerate(spec.values)}}
     if isinstance(spec, EdgesInside):

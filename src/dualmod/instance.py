@@ -4,7 +4,7 @@ A ground set of n labelled elements, on which subsets are n-bit masks; the
 instance that pairs a reward spec f with a cost spec g on it and checks
 that both fit and have positive totals; the size caps that guard the
 exponential scans; and what is derived from an instance: its normalized
-companion, its residual on V \\ S, and its extremal one-element marginals.
+companion, its residual on V \\ S, and its smallest one-element marginals.
 The spec kinds are in :mod:`dualmod.kinds`, the proofs and scans of the
 structural hypotheses in :mod:`dualmod.structure`, and the file format in
 :mod:`dualmod.files`.
@@ -106,19 +106,24 @@ class DualModularInstance:
         self.f.check(self.n)
         self.g.check(self.n)
         if check_totals:
-            full = self.ground.full_mask
-            fv = self.f.value(full)
-            gv = self.g.value(full)
-            if fv <= 0:
-                raise ZeroTotal("f")
-            if gv <= 0:
-                raise ZeroTotal("g")
+            fv, gv = self.totals()
             if self.normalized and (fv != 1 or gv != 1):
                 raise SchemaError("normalized", f"flag set but f(V)={fv}, g(V)={gv}")
 
     @property
     def n(self) -> int:
         return self.ground.n
+
+    def totals(self) -> tuple[Fraction, Fraction]:
+        """(f(V), g(V)), one walk each; raises :class:`ZeroTotal` where either is not positive."""
+        full = self.ground.full_mask
+        fv = self.f.value(full)
+        gv = self.g.value(full)
+        if fv <= 0:
+            raise ZeroTotal("f")
+        if gv <= 0:
+            raise ZeroTotal("g")
+        return fv, gv
 
     def tables(self) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
         """((F, Df), (G, Dg)) with F[mask] == f(mask) * Df and G[mask] == g(mask) * Dg."""
@@ -132,17 +137,11 @@ class DualModularInstance:
 
 def normalize(inst: DualModularInstance) -> DualModularInstance:
     """Scale both functions so f(V) = g(V) = 1; densities scale uniformly."""
-    full = inst.ground.full_mask
-    fv = inst.f.value(full)
-    gv = inst.g.value(full)
-    if fv <= 0:
-        raise ZeroTotal("f")
-    if gv <= 0:
-        raise ZeroTotal("g")
+    fv, gv = inst.totals()
     return DualModularInstance(
         ground=inst.ground,
-        f=Scaled(inst.f, Fraction(1, 1) / fv),
-        g=Scaled(inst.g, Fraction(1, 1) / gv),
+        f=Scaled(inst.f, 1 / fv),
+        g=Scaled(inst.g, 1 / gv),
         normalized=True,
         check_totals=False,  # the factors make both totals exactly 1
     )
@@ -187,41 +186,33 @@ def _restrict(spec: SetFunctionSpec, mask: int, keep: list[int]) -> Marginal:
 @dataclass(frozen=True)
 class Extremes:
     f_min: Fraction
-    f_max: Fraction
     g_min: Fraction
-    g_max: Fraction
 
 
 def extremes(inst: DualModularInstance) -> Extremes:
-    """Extremal single-element marginals over all permutation vertices.
+    """Smallest single-element marginals of f and g over all permutation vertices.
 
-    Dual-modularity pins where the extremes sit: supermodular marginals are
-    smallest on the empty prefix and largest on the full one; submodular
-    marginals the other way round.  So the closed forms read f_min and g_max
-    off the marginal vectors at the empty set, and f_max and g_min off those
-    at V: four ``marginal_vector`` calls.  Where ``structure`` proves f
+    Dual-modularity pins where they sit: supermodular marginals are smallest
+    on the empty prefix, submodular ones on the full one.  So the closed
+    forms read f_min off f's marginal vector at the empty set and g_min off
+    g's at V: two ``marginal_vector`` calls.  Where ``structure`` proves f
     supermodular and g submodular the closed forms are theorems; otherwise,
     for n <= 7, they are cross-checked against every marginal h(u | A) with
     u not in A.  Each such pair is the prefix-and-next step of some
     permutation, so this is the set of marginals all n! vertices take.
     """
     n = inst.n
-    full = inst.ground.full_mask
     f = inst.f
     g = inst.g
-    (f_low, df), (f_high, _) = f.marginal_vector(0, n), f.marginal_vector(full, n)
-    (g_low, dg), (g_high, _) = g.marginal_vector(0, n), g.marginal_vector(full, n)
-    f_min, f_max = Fraction(min(f_low), df), Fraction(max(f_high), df)
-    g_min, g_max = Fraction(min(g_high), dg), Fraction(max(g_low), dg)
+    (f_low, df), (g_high, dg) = f.marginal_vector(0, n), g.marginal_vector(inst.ground.full_mask, n)
+    f_min, g_min = Fraction(min(f_low), df), Fraction(min(g_high), dg)
 
     if n <= 7 and not ("supermodular" in f.structure(n) and "submodular" in g.structure(n)):
         (ftab, df), (gtab, dg) = inst.tables()
         steps = [(a, a | 1 << u) for a in range(1 << n) for u in range(n) if not a >> u & 1]
-        seen_f = [ftab[b] - ftab[a] for a, b in steps]
-        seen_g = [gtab[b] - gtab[a] for a, b in steps]
-        if not (min(seen_f) == f_min * df and max(seen_f) == f_max * df):
+        if min(ftab[b] - ftab[a] for a, b in steps) != f_min * df:
             raise StructuralError("closed-form f extremes disagree with permutation scan")
-        if not (min(seen_g) == g_min * dg and max(seen_g) == g_max * dg):
+        if min(gtab[b] - gtab[a] for a, b in steps) != g_min * dg:
             raise StructuralError("closed-form g extremes disagree with permutation scan")
 
-    return Extremes(f_min=f_min, f_max=f_max, g_min=g_min, g_max=g_max)
+    return Extremes(f_min=f_min, g_min=g_min)

@@ -111,9 +111,11 @@ def vertex(spec: SetFunctionSpec, sigma: Permutation) -> tuple[Fraction, ...]:
     """Marginal vector h^sigma, indexed by element; coordinates sum to h(V).
 
     Read off one exact walk over the n + 1 prefixes of sigma, which must
-    order as many elements as the spec is built for, where its kind fixes n.
+    order as many elements as the spec is built for, where its kind fixes n,
+    and every element the spec names, where it does not.
     """
     check_order(sigma, spec._n)
+    spec.check(sigma.n)
     values, den = spec.prefixes(sigma.order)
     return tuple(Fraction(d, den) for d in marginals(sigma.order, values))
 

@@ -467,24 +467,25 @@ class ErrorBounds:
 
 
 def error_bounds(inst: DualModularInstance, kind: DivergenceKind, T: int) -> ErrorBounds:
-    """Explicit constants of the convergence chain for a normalized instance.
+    """Explicit constants of the convergence chain, for the normalized companion of ``inst``.
 
-    Squared diameter of the product of bases is at most 2 (f(V)^2 + g(V)^2)
-    = 4; multiplying by a spectral-norm bound on the objective Hessian gives
-    the curvature constant, the 2/(T+2) step schedule turns that into an
-    objective gap, and strong-convexity-along-segments lower bounds invert
-    the gap into density error.  All single-element marginal bounds use
-    f_max = g_max = 1, valid after normalization.
+    The chain is stated for f(V) = g(V) = 1.  Normalizing divides each
+    function by its total, so f_min and g_min are ``extremes``'s minima over
+    f(V) and g(V), and f_max = g_max = 1: no one-element marginal of a
+    monotone function exceeds its total.  Squared diameter of the product of
+    bases is at most 2 (f(V)^2 + g(V)^2) = 4; multiplying by a spectral-norm
+    bound on the objective Hessian gives the curvature constant, the 2/(T+2)
+    step schedule turns that into an objective gap, and
+    strong-convexity-along-segments lower bounds invert the gap into
+    density error.
     """
     if isinstance(kind, HockeyStick):
         raise DomainError("no curvature chain for the hockey-stick generator (not smooth)")
-    full = inst.ground.full_mask
-    if inst.f.value(full) != 1 or inst.g.value(full) != 1:
-        raise StructuralError("error bounds require a normalized instance (f(V) = g(V) = 1)")
+    fv, gv = inst.totals()
     if T < 1:
         raise SchemaError("T", "need at least one iteration")
     ext = extremes(inst)
-    f_min, g_min = ext.f_min, ext.g_min
+    f_min, g_min = ext.f_min / fv, ext.g_min / gv
     if g_min <= 0:
         raise StructuralError("g_min = 0: the cost function is not strictly monotone")
 

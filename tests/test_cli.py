@@ -123,6 +123,32 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("error: initial: ")
 
+    @pytest.mark.parametrize("f,g,variant,f_min,g_min", [
+        ("edges", "perturbed", "fw", "1/142", "1/1740"),
+        ("edges", "linear", "greedypp", "1/142", "1/96"),
+        ("complemented", "linear", "greedypp", "1/1740", "1/96"),
+    ], ids=["edges-perturbed", "edges-linear", "complemented-linear"])
+    def test_error_bounds_above_the_scan_cap(self, capsys, tmp_path, f, g, variant, f_min, g_min):
+        # 48 elements, as in CI: f(V) = 47 + 48/2 = 71 with smallest marginal 1/2
+        # (a loop); the perturbed cost has g(V) = 48^2 + 48/3 = 2320 and smallest
+        # marginal 48^2 - 47 * 49 + 1/3 = 4/3; the linear one g(V) = 96 and 1
+        n = 48
+        perturbed = {"kind": "perturbed", "eta": "1/3",
+                     "base": {"kind": "concave_of_cardinality", "phi": [str(k * (2 * n - k)) for k in range(n + 1)]}}
+        specs = {
+            "edges": {"kind": "edges_inside",
+                      "edges": [[u, u + 1, "1"] for u in range(n - 1)] + [[u, u, "1/2"] for u in range(n)]},
+            "complemented": {"kind": "complement_of", "base": perturbed},
+            "perturbed": perturbed,
+            "linear": {"kind": "linear", "weights": [str(1 + u % 3) for u in range(n)]},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"labels": [f"v{i}" for i in range(n)], "f": specs[f], "g": specs[g]}))
+        code, out, err = run(capsys, "solve", str(path), "--variant", variant, "--T", "300")
+        assert (code, err) == (0, "")
+        bounds = json.loads(out)["error_bounds"]
+        assert (bounds["f_min"], bounds["g_min"]) == (f_min, g_min)
+
     def test_max_n_is_not_a_solve_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", fixture_path("p3"), "--max-n", "3"])

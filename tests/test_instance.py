@@ -14,9 +14,10 @@ from dualmod.errors import (
     StructuralError,
     ZeroTotal,
 )
+from dualmod.cli import main
 from dualmod.files import spec_from_json, spec_to_json
 
-from conftest import fraction_value, mask_of, random_instance, value_tables
+from conftest import fixture_path, fraction_value, mask_of, random_instance, value_tables
 from test_structure import specs
 
 
@@ -24,15 +25,15 @@ def masks(ground, *labels):
     return mask_of(ground, labels)
 
 
-def negative_marginal(spec, n):
-    """Whether spec is, or wraps, a marginal with a negative value on n elements."""
+def holds_marginal(spec):
+    """Whether spec is, or wraps, a residual's marginal."""
     if isinstance(spec, dm.Marginal):
-        return any(fraction_value(spec, s) < 0 for s in range(1 << n))
-    return isinstance(spec, (dm.Scaled, dm.Perturbed, dm.ComplementOf)) and negative_marginal(spec.base, n)
+        return True
+    return isinstance(spec, (dm.Scaled, dm.Perturbed, dm.ComplementOf)) and holds_marginal(spec.base)
 
 
 def extremes_by_permutations(inst):
-    """Independent oracle: the extremal marginals met along all n! orders."""
+    """Independent oracle: the smallest marginals met along all n! orders."""
     ftab, gtab = value_tables(inst)
     seen_f, seen_g = [], []
     for order in itertools.permutations(range(inst.n)):
@@ -42,9 +43,7 @@ def extremes_by_permutations(inst):
             seen_f.append(ftab[nxt] - ftab[prefix])
             seen_g.append(gtab[nxt] - gtab[prefix])
             prefix = nxt
-    return dm.Extremes(
-        f_min=min(seen_f), f_max=max(seen_f), g_min=min(seen_g), g_max=max(seen_g)
-    )
+    return dm.Extremes(f_min=min(seen_f), g_min=min(seen_g))
 
 
 class TestGroundSet:
@@ -387,6 +386,21 @@ class TestNormalize:
             dm.normalize(sec32)
         assert [(c.args[0], c.args[1]) for c in walks.call_args_list] == [(sec32.f, 7), (sec32.g, 7)]
 
+    @pytest.mark.parametrize("name", ["club8", "hardness", "p3"])
+    def test_solve_walks_four_totals_and_two_vectors(self, capsys, name):
+        # f(V) and g(V) once at load and once for the error bounds, f's
+        # marginal vector at the empty set and g's at V, and no normalized copy
+        full = dm.load_instance(fixture_path(name)).ground.full_mask
+        value, vector = dm.SetFunctionSpec.value, dm.SetFunctionSpec.marginal_vector
+        with mock.patch.object(dm.SetFunctionSpec, "value", autospec=True, side_effect=value) as walks, \
+                mock.patch.object(dm.SetFunctionSpec, "marginal_vector", autospec=True, side_effect=vector) as vectors, \
+                mock.patch.object(dm.Scaled, "__post_init__", autospec=True, side_effect=dm.Scaled.__post_init__) as scaled:
+            assert main(["solve", fixture_path(name), "--T", "200"]) == 0
+        assert [c.args[1] for c in walks.call_args_list] == [full] * 4
+        assert [c.args[1] for c in vectors.call_args_list] == [0, full]
+        assert scaled.call_count == 0
+        capsys.readouterr()
+
     def test_sec32_scaling(self, sec32):
         norm = dm.normalize(sec32)
         full = sec32.ground.full_mask
@@ -414,8 +428,6 @@ class TestExtremes:
         ext = dm.extremes(sec32)
         assert ext.f_min == 0  # element w contributes nothing on its own
         assert ext.g_min == 0  # g({a} | {w, b}) = 3 - 3 = 0
-        assert ext.f_max == 1
-        assert ext.g_max == 2
 
     def test_linear_cost(self):
         ground = dm.GroundSet(("x", "y", "z"))
@@ -425,7 +437,7 @@ class TestExtremes:
             g=dm.Linear((F(1, 2), F(2), F(5))),
         )
         ext = dm.extremes(inst)
-        assert ext.g_min == F(1, 2) and ext.g_max == 5
+        assert ext.g_min == F(1, 2)
 
     def test_triangle_reward_min(self, tri_iso):
         assert dm.extremes(tri_iso).f_min == 0
@@ -472,8 +484,8 @@ class TestExtremes:
         else:
             assert dm.extremes(inst).f_min == phi[1]
 
-    def test_four_vectors_and_no_value_call(self, monkeypatch):
-        # the closed forms read two marginal vectors per function, and no single value;
+    def test_two_vectors_and_no_value_call(self, monkeypatch):
+        # the closed forms read f's marginal vector at the empty set and g's at V, and no single value;
         # tables and complemented specs are left unproven, so n <= 7 is cross-checked
         rng = np.random.default_rng(20)
         cases = []
@@ -497,7 +509,7 @@ class TestExtremes:
         for inst in cases:
             calls.clear()
             got = dm.extremes(inst)
-            assert calls == [0, inst.ground.full_mask] * 2
+            assert calls == [0, inst.ground.full_mask]
             if inst.n <= 7:
                 assert got == extremes_by_permutations(inst)
 
@@ -650,13 +662,11 @@ class TestJson:
         assert (again.f, again.g) == (spec, spec)
         assert dm.instance_to_json(again) == blob
 
-    def test_residual_marginal_serializes_as_table(self, tri_iso):
+    def test_residual_marginal_has_no_file_form(self, tri_iso):
         res = dm.residual_instance(dm.residual_instance(tri_iso, 1), 1)
         assert isinstance(res.f, dm.Marginal)
-        again = dm.instance_from_json(dm.instance_to_json(res))
-        assert isinstance(again.f, dm.ExplicitTable) and isinstance(again.g, dm.ExplicitTable)
-        assert again.ground == res.ground
-        assert value_tables(again) == value_tables(res)
+        with pytest.raises(NotImplementedError, match="^no file form for Marginal$"):
+            dm.instance_to_json(res)
 
     def test_complement_serializes(self):
         ground = dm.GroundSet(("x", "y"))
@@ -672,14 +682,14 @@ class TestJson:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), specs(n))))
     def test_written_spec_reads_back(self, case):
-        # the same values, and a second write the same bytes; a marginal of a
-        # base that is not monotone can go negative, which no table may hold
+        # the same values, and a second write the same bytes; a residual's
+        # marginal, alone or wrapped, has no file form
         n, spec = case
-        try:
-            blob = spec_to_json(spec, n)
-        except SchemaError as exc:
-            assert negative_marginal(spec, n) and str(exc).startswith("values: negative value")
+        if holds_marginal(spec):
+            with pytest.raises(NotImplementedError, match="^no file form for Marginal$"):
+                spec_to_json(spec, n)
             return
+        blob = spec_to_json(spec, n)
         again = spec_from_json(blob, dm.GroundSet(tuple(f"v{i}" for i in range(n))), "f")
         assert [fraction_value(again, s) for s in range(1 << n)] == [fraction_value(spec, s) for s in range(1 << n)]
         assert json.dumps(spec_to_json(again, n)) == json.dumps(blob)

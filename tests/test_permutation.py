@@ -44,6 +44,14 @@ class TestVertex:
         with pytest.raises(SchemaError, match=rf"^order: length {len(order)} does not match n=2$"):
             dm.vertex(spec, dm.Permutation(order))
 
+    def test_rejects_an_order_short_of_the_edges(self):
+        # an edge reward fits any ground set that holds its endpoints: a
+        # shorter order would drop edge (1, 1), a longer one is accepted
+        edges = dm.EdgesInside(((0, 1, F(1)), (1, 1, F(2))))
+        with pytest.raises(SchemaError, match=r"^edges: edge \(0, 1\) outside ground set of size 1$"):
+            dm.vertex(edges, dm.Permutation((0,)))
+        assert dm.vertex(edges, dm.Permutation((1, 0, 2))) == (1, 2, 0)
+
 
 class TestMixture:
     def test_single_permutation(self, sec32):

@@ -16,10 +16,12 @@ from dualmod.errors import (
     SchemaError,
     StructuralError,
     ZeroCostCoordinate,
+    ZeroTotal,
 )
 
 from conftest import (
     fd_hessian_max_eig,
+    fixture_path,
     hessian_closed_form_max,
     rand_frac,
     random_instance,
@@ -479,9 +481,37 @@ class TestErrorBounds:
         with pytest.raises(DomainError):
             dm.error_bounds(self._normalized(), dm.HockeyStick(F(1)), 10)
 
-    def test_requires_normalized(self, p3):
-        with pytest.raises(StructuralError):
-            dm.error_bounds(p3, dm.QUADRATIC, 10)
+    def test_same_as_the_normalized_companion(self, sec32, p3, tri_iso, hardness):
+        # any positive totals: the constants are the normalized companion's,
+        # and sec32's g_min = 0 is refused alike on both sides
+        def outcome(inst, kind):
+            try:
+                return dm.error_bounds(inst, kind, 200)
+            except StructuralError as exc:
+                return type(exc), str(exc)
+
+        insts = [sec32, p3, tri_iso, hardness, dm.load_instance(fixture_path("club8"))]
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            inst = random_instance(rng, n)
+            f, g = inst.f, inst.g
+            for wrapped_f, wrapped_g in ((f, g), (dm.Scaled(f, F(7, 3)), dm.Perturbed(g, F(1, 5))),
+                                         (dm.ComplementOf(dm.ComplementOf(f, n), n), dm.Scaled(g, F(7, 3)))):
+                insts.append(dm.DualModularInstance(ground=inst.ground, f=wrapped_f, g=wrapped_g))
+        for inst in insts:
+            for kind in (dm.QUADRATIC, dm.ENTROPY_KL, dm.EISENBERG_GALE):
+                assert outcome(inst, kind) == outcome(dm.normalize(inst), kind)
+        assert outcome(sec32, dm.QUADRATIC) == (StructuralError, "g_min = 0: the cost function is not strictly monotone")
+
+    def test_zero_reward_total(self):
+        # a residual's reward total may vanish: here f(V \ S | S) = 0 for S = {x, y}
+        inst = dm.DualModularInstance(
+            ground=dm.GroundSet(("x", "y", "z")), f=dm.EdgesInside(((0, 1, F(1)),)), g=dm.Linear((F(1), F(1), F(1)))
+        )
+        with pytest.raises(ZeroTotal) as exc:
+            dm.error_bounds(dm.residual_instance(inst, 0b011), dm.QUADRATIC, 10)
+        assert exc.value.which == "f"
 
     def test_gap_dominates_for_every_smooth_kind(self):
         # positive worst-case reward share keeps all three chains finite
