@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .decomposition import DensityDecomposition
 from .divergence import HockeyStick, divergence
@@ -116,10 +117,20 @@ def analyze_contracts(inst: DualModularInstance, dec: DensityDecomposition) -> C
 
     The optimum is the first maximum of the principal's utility, so ties
     keep the smaller alpha; with no critical value it is (0, empty set, 0).
+    Densities strictly decrease, so the response at 1/rho_i is parts 1..i:
+    f and g at every response are read from one walk each over the parts'
+    elements in peel order, at the part boundaries.
     """
     crit = critical_values(dec)
-    rows = [contract_at(inst, dec, alpha) for alpha in crit]
-    responses, ua, up = (tuple(row[i] for row in rows) for i in range(3))
+    parts = dec.parts[: len(crit)]
+    order = [u for part in parts for u in range(part.bit_length()) if part >> u & 1]
+    ends = list(accumulate(part.bit_count() for part in parts))
+    (fs, fden), (gs, gden) = inst.f.prefixes(order), inst.g.prefixes(order)
+    fv = [Fraction(fs[i], fden) for i in ends]
+    gv = [Fraction(gs[i], gden) for i in ends]
+    responses = tuple(accumulate(parts, int.__or__))
+    ua = tuple(alpha * f - g for alpha, f, g in zip(crit, fv, gv))
+    up = tuple((1 - alpha) * f for alpha, f in zip(crit, fv))
     optimum = Fraction(0), 0, Fraction(0)
     if crit:
         best = max(range(len(crit)), key=up.__getitem__)

@@ -5,6 +5,12 @@ chain of distinct elements (the solver, permutation vertices, and a single
 `Fraction` value, the last prefix of a walk over its subset), and the
 vector of one-element marginals at one subset (`extremes`, Greedy++'s
 removals).  Nothing here ever rounds.
+
+A table is built by doubling: the values of the masks that hold element k
+come from those of the masks below k in one list comprehension, so a
+table costs O(2^n) list work in n comprehensions and no interpreted step
+per mask.  A function of |S| alone is tabulated from one walk, read at
+each mask's size.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ from .errors import SchemaError
 
 
 def subset_sums(vec: Sequence, n: int) -> list:
-    """sums[mask] = sum of vec over the elements of mask."""
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        sums[mask] = sums[mask ^ (1 << low)] + vec[low]
+    """sums[mask] = sum of vec over the elements of mask, by doubling: the
+    masks that hold u are the masks below u, each plus vec[u]."""
+    sums = [0]
+    for u in range(n):
+        w = vec[u]
+        sums += [s + w for s in sums] if w else sums
     return sums
 
 
@@ -51,20 +58,23 @@ def _proven(**holds: bool) -> dict:
 class SetFunctionSpec:
     """Base of every set-function representation.
 
-    Subclasses implement ``table(n)``: all 2^n values as ``(values, den)``,
-    integers over one denominator with ``values[mask] == value(mask) * den``,
-    and ``prefixes(order)`` for a chain of distinct elements from the empty
-    set, an order of all n elements or fewer: ``values[i]`` is ``value`` of
-    the first i elements of ``order``, times ``den``.  Each spec clears its
-    inputs' denominators once, so its table and every walk share one ``den``
-    and their integers compare across walks.  Structured kinds walk in
-    O(m + n) integer operations for m edges.  ``value(mask)`` is the last
-    prefix of one walk over the elements of ``mask``.  ``marginal_vector(mask,
-    n)`` is ``(ints, den)`` over the same ``den``: ``ints[u]`` is
-    h(mask + u) - h(mask) for u not in mask and h(mask) - h(mask - u) for u
-    in mask, times ``den``, built in one pass (kinds implement ``_vector``).
-    ``check(n)`` raises :class:`SchemaError` unless the spec fits n elements;
-    instances call it.
+    ``table(n)`` gives all 2^n values as ``(values, den)``, integers over one
+    denominator with ``values[mask] == value(mask) * den``: for a size-only
+    function, from one walk of ``prefixes`` read at each mask's size;
+    otherwise from the kind's ``_table(n)``, which doubles the table once per
+    element in O(2^n) list work.  Subclasses implement ``_table`` unless they
+    are size-only, and ``prefixes(order)`` for a chain of distinct elements
+    from the empty set, an order of all n elements or fewer: ``values[i]`` is
+    ``value`` of the first i elements of ``order``, times ``den``.  Each spec
+    clears its inputs' denominators once, so its table and every walk share
+    one ``den`` and their integers compare across walks.  Structured kinds
+    walk in O(m + n) integer operations for m edges.  ``value(mask)`` is the
+    last prefix of one walk over the elements of ``mask``.
+    ``marginal_vector(mask, n)`` is ``(ints, den)`` over the same ``den``:
+    ``ints[u]`` is h(mask + u) - h(mask) for u not in mask and h(mask) -
+    h(mask - u) for u in mask, times ``den``, built in one pass (kinds
+    implement ``_vector``).  ``check(n)`` raises :class:`SchemaError` unless
+    the spec fits n elements; instances call it.
 
     ``structure(n)`` maps each property of :data:`PROPERTIES` that the kind
     proves on n elements, given its constructor's checks, to True.  A
@@ -85,6 +95,14 @@ class SetFunctionSpec:
         self._fit(mask)
         values, den = self.prefixes([u for u in range(mask.bit_length()) if mask >> u & 1])
         return Fraction(values[-1], den)
+
+    def table(self, n: int) -> tuple[list[int], int]:
+        """All 2^n values over den: a size-only function's from one walk, read
+        at each mask's size; any other from its kind's ``_table``."""
+        if self._size_only:
+            values, den = self.prefixes(range(n))
+            return [values[k] for k in subset_sums([1] * n, n)], den
+        return self._table(n)
 
     def marginal_vector(self, mask: int, n: int) -> tuple[list[int], int]:
         """The one-element marginals of elements 0..n-1 at ``mask``, as integers over den;
@@ -120,7 +138,7 @@ class ExplicitTable(SetFunctionSpec):
     def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.values)
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
         values, den = self._cleared
         return list(values), den
 
@@ -159,21 +177,17 @@ class EdgesInside(SetFunctionSpec):
         span = 1 + max((max(u, v) for u, v, _ in self.edges), default=-1)
         return [(u, v, w) for (u, v, _), w in zip(self.edges, weights)], den, span
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
+        # the masks whose top element is k are the masks below k, each plus k's
+        # loops and its edges into them: lower[k][k] and the subset sums of lower[k][:k]
         edges, den, _ = self._cleared
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        lower = [[0] * n for _ in range(n)]  # lower[hi][lo]: the weight between hi and lo <= hi
         for u, v, w in edges:
-            lo, hi = min(u, v), max(u, v)
-            adj[lo].append((hi, w))
-        tab = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << low)
-            total = tab[rest]
-            for other, w in adj[low]:
-                if other == low or mask >> other & 1:
-                    total += w
-            tab[mask] = total
+            lower[max(u, v)][min(u, v)] += w
+        tab = [0]
+        for k, row in enumerate(lower):
+            loop = row[k]
+            tab += [t + g + loop for t, g in zip(tab, subset_sums(row, k))]
         return tab, den
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
@@ -247,7 +261,7 @@ class Linear(SetFunctionSpec):
     def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.weights)
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
         weights, den = self._cleared
         return subset_sums(weights, n), den
 
@@ -292,10 +306,6 @@ class ConcaveOfCardinality(SetFunctionSpec):
     def _cleared(self) -> tuple[tuple[int, ...], int]:
         return _over_common_den(self.phi)
 
-    def table(self, n: int) -> tuple[list[int], int]:
-        phi, den = self._cleared
-        return [phi[m.bit_count()] for m in range(1 << n)], den
-
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         phi, den = self._cleared
         return list(phi[: len(order) + 1]), den
@@ -339,7 +349,7 @@ class Scaled(SetFunctionSpec):
         values, den = base
         return [self.factor.numerator * v for v in values], den * self.factor.denominator
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
         return self._scale(self.base.table(n))
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
@@ -379,8 +389,8 @@ class Perturbed(SetFunctionSpec):
         step = p * den
         return [q * v + step * k for v, k in zip(values, sizes)], q * den
 
-    def table(self, n: int) -> tuple[list[int], int]:
-        return self._lift(self.base.table(n), map(int.bit_count, range(1 << n)))
+    def _table(self, n: int) -> tuple[list[int], int]:
+        return self._lift(self.base.table(n), subset_sums([1] * n, n))
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         return self._lift(self.base.prefixes(order), range(len(order) + 1))
@@ -408,10 +418,11 @@ class ComplementOf(SetFunctionSpec):
     _n = property(lambda self: self.n)
     _size_only = _size_only_of_base
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
+        # V \ S runs down the table as S runs up it
         b, den = self.base.table(n)
-        full = (1 << n) - 1
-        return [b[full] - b[full ^ m] for m in range(1 << n)], den
+        top = b[-1]
+        return [top - v for v in reversed(b)], den
 
     def prefixes(self, order: Sequence[int]) -> tuple[list[int], int]:
         # V minus the first i of the chain is the first n - i of its completion's reverse
@@ -469,7 +480,7 @@ class Marginal(SetFunctionSpec):
         vec, den = self.base._vector(self.anchor | self._expand(mask), n + self.anchor.bit_count())
         return [vec[u] for u in self.index_map], den
 
-    def table(self, n: int) -> tuple[list[int], int]:
+    def _table(self, n: int) -> tuple[list[int], int]:
         base, den = self.base.table(n + self.anchor.bit_count())
         masks = [self.anchor]  # masks[mask] = anchor | the base positions of mask
         for u in self.index_map:

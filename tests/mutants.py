@@ -279,6 +279,24 @@ MUTANTS = [
     Mutant("phi-at-empty-set-unchecked", "kinds.py",
            "if not self.phi or self.phi[0] != 0:", "if not self.phi:",
            (f"{CLI}::test_malformed_input_names_its_field",)),
+    # tables built by doubling: the masks that hold k are the masks below k,
+    # each plus k's gain; a size-only function reads one walk at each size
+    Mutant("table-doubling-drops-the-loop", "kinds.py",
+           "tab += [t + g + loop for t, g in", "tab += [t + g for t, g in",
+           ("tests/test_value_layer.py::test_wide_tables_are_fraction_values",)),
+    Mutant("edge-gain-row-transposed", "kinds.py",
+           "lower[max(u, v)][min(u, v)] += w", "lower[min(u, v)][max(u, v)] += w",
+           ("tests/test_value_layer.py::test_wide_tables_are_fraction_values",)),
+    Mutant("size-only-table-one-size-up", "kinds.py",
+           "return [values[k] for k in subset_sums([1] * n, n)], den", "return [values[k + 1] for k in subset_sums([1] * n, n)], den",
+           ("tests/test_value_layer.py::test_wide_tables_are_fraction_values",)),
+    Mutant("zero-weight-appends-nothing", "kinds.py",
+           "sums += [s + w for s in sums] if w else sums", "sums += [s + w for s in sums] if w else []",
+           ("tests/test_value_layer.py::test_subset_sums_against_a_direct_sum",)),
+    # every contract row from one walk of f and one of g, read at the part ends
+    Mutant("contract-rows-read-at-the-walk-end", "contracts.py",
+           "fv = [Fraction(fs[i], fden) for i in ends]", "fv = [Fraction(fs[-1], fden) for i in ends]",
+           ("tests/test_contracts.py::TestAnalysisDifferential::test_disjoint_cliques",)),
     # Marginal walks through its base
     Mutant("marginal-minus-empty-prefix", "kinds.py",
            "return [v - values[k] for v in values[k:]], den", "return [v - values[0] for v in values[k:]], den",

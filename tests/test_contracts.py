@@ -1,6 +1,7 @@
 import operator
 from fractions import Fraction as F
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,9 +325,9 @@ def disjoint_cliques(rng, n):
     return inst, sorted(densities, reverse=True)
 
 
-def check_analysis(inst, densities):
+def check_analysis(inst, densities, dec=None):
     """analyze_contracts against the densities, the brute-force responses and value_tables."""
-    dec = dm.density_decomposition(inst)
+    dec = dec or dm.density_decomposition(inst)
     analysis = dm.analyze_contracts(inst, dec)
     crit = [1 / rho for rho in densities if rho >= 1]
     assert list(analysis.critical_values) == crit
@@ -368,3 +369,24 @@ class TestAnalysisDifferential:
         analysis = check_analysis(inst, [F(4), F(2)])
         assert analysis.principal_utilities == (3, 3)
         assert (analysis.optimal_alpha, analysis.optimal_response) == (F(1, 4), 0b01)
+
+    def test_one_walk_of_f_and_one_of_g(self):
+        # every response is a union of leading parts, read at the part ends of
+        # one walk per function over those parts; no single value is evaluated
+        rng = np.random.default_rng(93)
+        most = 0
+        for _ in range(10):
+            inst, densities = disjoint_cliques(rng, int(rng.integers(4, 11)))
+            dec = dm.density_decomposition(inst)
+            with mock.patch.object(dm.SetFunctionSpec, "value", autospec=True, side_effect=dm.SetFunctionSpec.value) as value, \
+                    mock.patch.object(dm.EdgesInside, "prefixes", autospec=True, side_effect=dm.EdgesInside.prefixes) as f_walks, \
+                    mock.patch.object(dm.Linear, "prefixes", autospec=True, side_effect=dm.Linear.prefixes) as g_walks:
+                analysis = check_analysis(inst, densities, dec)
+            assert value.call_count == 0
+            assert (f_walks.call_count, g_walks.call_count) == (1, 1)
+            chain = f_walks.call_args.args[1]
+            assert g_walks.call_args.args[1] == chain
+            walked = analysis.responses[-1] if analysis.responses else 0
+            assert sorted(chain) == [u for u in range(inst.n) if walked >> u & 1]
+            most = max(most, len(analysis.responses))
+        assert most >= 3

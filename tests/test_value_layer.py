@@ -12,6 +12,7 @@ Fraction subset-sum check it replaced.
 """
 
 from fractions import Fraction as F
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -19,10 +20,26 @@ from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
 from dualmod.errors import SchemaError
+from dualmod.kinds import subset_sums
 
 from conftest import fraction_value, random_allocation, random_instance, value_tables
 
 rationals = st.builds(F, st.integers(0, 40), st.integers(1, 12))
+
+
+WRAPPERS = ("scaled", "perturbed", "complement")
+
+
+def wrapped(draw, spec, wrappers, n, factors):
+    """spec under each wrapper in turn: Scaled and Perturbed by a drawn factor, ComplementOf on n elements."""
+    for wrapper in wrappers:
+        if wrapper == "scaled":
+            spec = dm.Scaled(spec, draw(factors))
+        elif wrapper == "perturbed":
+            spec = dm.Perturbed(spec, draw(factors))
+        else:
+            spec = dm.ComplementOf(spec, n)
+    return spec
 
 
 @st.composite
@@ -51,13 +68,7 @@ def specs(draw):
     extra = draw(st.integers(0, 6 - n)) if draw(st.booleans()) else 0
     size = n + extra
     spec = draw(base_specs(size))
-    for wrapper in draw(st.lists(st.sampled_from(["scaled", "perturbed", "complement"]), max_size=3)):
-        if wrapper == "scaled":
-            spec = dm.Scaled(spec, draw(rationals))
-        elif wrapper == "perturbed":
-            spec = dm.Perturbed(spec, draw(rationals))
-        else:
-            spec = dm.ComplementOf(spec, size)
+    spec = wrapped(draw, spec, draw(st.lists(st.sampled_from(WRAPPERS), max_size=3)), size, rationals)
     if extra:
         ground = dm.GroundSet(tuple(f"v{i}" for i in range(size)))
         inst = dm.DualModularInstance(ground=ground, f=spec, g=spec, check_totals=False)
@@ -78,13 +89,7 @@ def summed_specs(draw):
         spec = dm.EdgesInside(tuple(draw(st.lists(st.tuples(ends, ends, wide), max_size=16))))
     else:
         spec = dm.Linear(tuple(draw(st.lists(wide, min_size=n, max_size=n))))
-    for wrapper in draw(st.lists(st.sampled_from(["scaled", "perturbed", "complement"]), max_size=2)):
-        if wrapper == "scaled":
-            spec = dm.Scaled(spec, draw(wide))
-        elif wrapper == "perturbed":
-            spec = dm.Perturbed(spec, draw(wide))
-        else:
-            spec = dm.ComplementOf(spec, n)
+    spec = wrapped(draw, spec, draw(st.lists(st.sampled_from(WRAPPERS), max_size=2)), n, wide)
     return spec, n
 
 
@@ -107,6 +112,46 @@ def test_value_of_every_kind_is_its_fraction_value(case):
         value = spec.value(m)
         assert type(value) is F
         assert value == fraction_value(spec, m)
+
+
+@st.composite
+def wide_specs(draw):
+    """(specs, n) for n = 9..12, above the other strategies' sizes: edges with
+    loops, zero weights, pairs repeated in both orientations and elements past
+    every edge; linear weights with zeros; and a concave under two size-only
+    wrappers."""
+    n = draw(st.integers(9, 12))
+    weights = st.one_of(st.just(F(0)), rationals)
+    ends = st.integers(0, draw(st.integers(0, n - 2)))
+    edges = draw(st.lists(st.tuples(ends, ends, weights), min_size=1, max_size=24))
+    loops = [(u, u, w) for u, w in draw(st.lists(st.tuples(ends, weights), max_size=4))]
+    repeats = [(v, u, w) for u, v, w in draw(st.lists(st.sampled_from(edges), max_size=6))]
+    increments = sorted(draw(st.lists(weights, min_size=n, max_size=n)), reverse=True)
+    size_only = dm.ConcaveOfCardinality(tuple(accumulate(increments, initial=F(0))))
+    size_only = wrapped(draw, size_only, draw(st.sampled_from(list(product(WRAPPERS, repeat=2)))), n, rationals)
+    linear = dm.Linear(tuple(draw(st.lists(weights, min_size=n, max_size=n))))
+    return (dm.EdgesInside(tuple(edges + loops + repeats)), linear, size_only), n
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(wide_specs())
+def test_wide_tables_are_fraction_values(case):
+    # each table is built by doubling, one element at a time; this ties it to
+    # the raw inputs where the doubling runs for many more elements
+    specs, n = case
+    for spec in specs:
+        values, den = spec.table(n)
+        assert type(den) is int and den > 0
+        assert all(type(v) is int for v in values)
+        assert values == [fraction_value(spec, m) * den for m in range(1 << n)]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(9, 12).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+def test_subset_sums_against_a_direct_sum(vec):
+    # membership passes signed numerators; a zero entry doubles the table unchanged
+    n = len(vec)
+    assert subset_sums(vec, n) == [sum(w for u, w in enumerate(vec) if m >> u & 1) for m in range(1 << n)]
 
 
 # a mask with an element outside the ground set a kind is built for, or a
