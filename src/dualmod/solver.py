@@ -14,12 +14,17 @@ the next choice.
   front by repeatedly extracting the element with the smallest blended
   score.
 
-A run evaluates f and g only at the masks it visits and builds no table
-of all 2^n values, so the ground set has no size limit here.  The prefixes of a chosen permutation are filled together: the first
-order with an unstored prefix is walked once, in exact integers, and all
-its n + 1 values are stored.  Each step mixes the differences of the stored
-prefixes straight into the new iterate.  A function of |S| alone has the
-same marginal at position i of every order, so it is walked once per run.
+A run evaluates f and g only at the masks it visits, so the ground set
+has no size limit here.  The prefixes of a chosen permutation are filled
+together: the first order with an unstored prefix is walked once, in exact
+integers, and all its n + 1 values are stored.  Each step mixes the
+differences of the stored prefixes straight into the new iterate.  A
+function of |S| alone has the same marginal at position i of every order,
+so it is walked once per run.  Where T steps could visit every mask,
+2^n <= (T + 1)(n + 1), a run stores each other function's whole integer
+table, built by doubling, after its first walk, and no later order misses;
+in binary64 a table with a value past the memo's resolution bounds is not
+stored, and that function walks as above.
 Greedy++ scores its one-element removals from f's integer marginal vector
 at the remaining set: read once at V per step, then updated after each
 removal, on the removed element's neighbours for an edge reward and by one
@@ -43,6 +48,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .divergence import QUADRATIC, DivergenceKind, HockeyStick
@@ -157,6 +163,11 @@ _INT_BOUND = 2**52
 _DEN_BOUND = 2**1022
 
 
+def _past_resolution(ints, den) -> bool:
+    """Whether some value ints[i] / den is outside the bounds of _Memo's resolution gate."""
+    return den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
+
+
 class _Memo(dict):
     """One set function at the masks a run visits, each evaluated once.
 
@@ -165,15 +176,19 @@ class _Memo(dict):
     the stored prefixes.  The first time a prefix of order is not stored,
     ``_walk`` makes one ``spec.prefixes`` walk, which converts and stores
     all n + 1 values and takes c in the same pass; the run's first iterate
-    is such a walk.  A size-only function (``spec._size_only``) has the
-    same marginal at position i of every order, so it is walked once per
-    run and every later order reads that walk's marginals by position.
+    is such a walk.  ``fill(n)`` then stores all 2^n values from one
+    ``spec.table(n)``, so no later prefix is missing; the run calls it only
+    where 2^n is at most the (T + 1)(n + 1) values its walks could store.
+    A size-only function (``spec._size_only``) has the same marginal at
+    position i of every order, so it is walked once per run and every
+    later order reads that walk's marginals by position.
     ``top`` is the last walk's integer h(V), where Greedy++'s removals
     start.  In binary64 mode a value is stored as a float, the correctly
     rounded exact value (one beyond the binary64 range raises
     :class:`DomainError`); in rational mode as a ``Fraction``.  A step
     visits n + 1 prefixes, so T steps hold at most min(2^n, (T + 1)(n + 1))
-    values; a size-only function holds its one walk's n + 1 values.
+    values, and a filled memo's 2^n are no more; a size-only function is
+    never filled and holds its one walk's n + 1 values.
     Greedy++'s removal scores convert their values with the same ``_exact``
     and offer every integer they convert to the gate below, but store none.
 
@@ -186,6 +201,10 @@ class _Memo(dict):
     walks every order, once per step, and checks its shares against that
     walk's integers.  A size-only function's one walk holds all its values,
     so it has already checked the shares that every later order reuses.
+    ``fill`` stores nothing where a table value is outside the bounds, so
+    the run walks and checks as it would unfilled, and every error is raised
+    where it was; every value a filled memo holds is inside them.  Where the
+    first walk has opened the gate, the table is not built at all.
     """
 
     def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str, labels: Sequence[str]):
@@ -199,6 +218,17 @@ class _Memo(dict):
         self._unresolved = False  # binary64: some stored value is outside the bounds above
         self._by_position = None  # a size-only function's marginals by position, from its walk
         self.top = None  # h(V) * den, from the last walk
+
+    def fill(self, n: int) -> None:
+        """Store every value of ``spec.table(n)``, unless the function is size-only or,
+        in binary64, a value the first walk stored or one of the table's is
+        outside the resolution bounds."""
+        if self._spec._size_only or self._unresolved:
+            return
+        values, den = self._spec.table(n)
+        if self._as_float and _past_resolution(values, den):
+            return
+        self.update(enumerate(map(self._exact, values, repeat(den))))
 
     def mix(self, order: tuple, x: list, keep, gamma) -> list:
         """[keep * x[u] + gamma * c[u] for each u], c the marginal vector of order, as a new list."""
@@ -250,7 +280,7 @@ class _Memo(dict):
     def _gate(self, ints, den) -> None:
         """Open the share check once a stored value is outside the bounds above."""
         if self._as_float and not self._unresolved:
-            self._unresolved = den > _DEN_BOUND or max(ints) >= _INT_BOUND or min(ints) <= -_INT_BOUND
+            self._unresolved = _past_resolution(ints, den)
 
     def _checked(self, order, c, ints, den) -> list:
         """The marginal vector c of order, walked as ints over den, unless one of
@@ -330,6 +360,11 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
     x, y = f._walk(sigma0.order), g._walk(sigma0.order)
+    # the walks of T steps could store (T + 1)(n + 1) values: at 2^n or more,
+    # one table built by doubling costs less than they would
+    if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):
+        f.fill(inst.n)
+        g.fill(inst.n)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
     lead = 1 if greedy else 2
 

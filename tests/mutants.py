@@ -166,6 +166,27 @@ MUTANTS = [
            "out[u] = keep * x[u] + gamma * (cur - prev)\n                prev = cur",
            "out[u] = keep * x[u] + gamma * (cur - prev)",
            (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_mix_is_the_vertex_mixed_in")),
+    # where a run could visit every mask, each function that is not size-only
+    # is filled from one table after its first walk, unless a value is past
+    # the resolution gate
+    Mutant("fill-ignores-the-gate", "solver.py",
+           "if self._as_float and _past_resolution(values, den):", "if False:",
+           (f"{SOLVER}::TestGreedyPlusPlus::test_removal_beyond_binary64_range",)),
+    Mutant("fill-after-an-unresolved-walk", "solver.py",
+           "if self._spec._size_only or self._unresolved:", "if self._spec._size_only:",
+           (f"{VALUES}::test_no_table_once_the_first_walk_is_past_resolution",)),
+    Mutant("fill-never", "solver.py",
+           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):", "if False:",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("fill-always", "solver.py",
+           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):", "if True:",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("fill-skips-g", "solver.py",
+           "        g.fill(inst.n)\n", "",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("fill-size-only", "solver.py",
+           "if self._spec._size_only or self._unresolved:", "if self._unresolved:",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
     # marginal vectors: one pass per spec, under value's mask rule
     Mutant("complement-vector-at-mask", "kinds.py",
            "return self.base._vector((1 << self.n) - 1 ^ mask, n)", "return self.base._vector(mask, n)",
@@ -313,7 +334,7 @@ MUTANTS = [
             "tests/test_instance.py::TestResidual::test_residual_of_residual_is_one_view")),
     # one share rule for f and g, and its gate
     Mutant("share-gate-ignores-underflow", "solver.py",
-           "self._unresolved = den > _DEN_BOUND or max(ints)", "self._unresolved = max(ints)",
+           "return den > _DEN_BOUND or max(ints)", "return max(ints)",
            (f"{SOLVER}::TestFrankWolfe::test_shares_that_underflow_together",)),
     Mutant("share-gate-ignores-negative-values", "solver.py",
            " or min(ints) <= -_INT_BOUND", "",

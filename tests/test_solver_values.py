@@ -1,7 +1,8 @@
 """The solver's value path against iterations that read f and g another way.
 
 The solver evaluates f and g at the masks a run visits, each once, through
-a per-run memo that stores all prefixes of an order from one integer walk.
+a per-run memo that stores all prefixes of an order from one integer walk,
+or, where a run could visit every mask, the whole table after one walk.
 The references here repeat the same iteration reading the values from full
 2^n tables (n <= 8), or from a fresh ``spec.value`` call on every visit
 (n = 21, where a table would hold two million values each), and must give
@@ -143,18 +144,8 @@ def size_only(spec):
     return isinstance(spec, dm.ConcaveOfCardinality)
 
 
-@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
-def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
-    """Every value comes from a ``prefixes`` walk over all n elements, made
-    only for an order with an unstored prefix.  A size-only function is
-    walked exactly once, on the first order; any other function's walks
-    store exactly the prefixes the run visits.  Neither variant makes a
-    shorter chain query: Greedy++ reads its removals off f's marginal
-    vector, once at V per step, and an edge reward's vector is updated in
-    place after that."""
-    events = []
-    vectors = []
-    n = 10
+def record_walks(monkeypatch, events):
+    """Append (spec, order) to events on every ``prefixes`` walk of a kind the runs below use."""
 
     def recording(cls):
         original = cls.prefixes
@@ -167,21 +158,40 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
 
     for cls in (dm.EdgesInside, dm.Perturbed, dm.Linear, dm.ConcaveOfCardinality, dm.ComplementOf):
         recording(cls)
+
+
+def cost_runs(rng, n):
+    """``cases``, and both variants again over a size-only reward: the complement
+    of a concave cost is supermodular (over a copy of the cost, so that its
+    inner walks are not the cost's)."""
+    runs = cases(rng, n)
+    (inst, _), (linear, _) = runs
+    reward = dm.ComplementOf(dm.Perturbed(inst.g.base, inst.g.eta), n)
+    return runs + [
+        (dm.DualModularInstance(ground=inst.ground, f=reward, g=inst.g), "fw"),
+        (dm.DualModularInstance(ground=inst.ground, f=reward, g=linear.g), "greedypp"),
+    ]
+
+
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
+    """Every value comes from a ``prefixes`` walk over all n elements, made
+    only for an order with an unstored prefix.  A size-only function is
+    walked exactly once, on the first order; any other function's walks
+    store exactly the prefixes the run visits.  Neither variant makes a
+    shorter chain query: Greedy++ reads its removals off f's marginal
+    vector, once at V per step, and an edge reward's vector is updated in
+    place after that."""
+    events = []
+    vectors = []
+    n = 10
+    record_walks(monkeypatch, events)
     vector = dm.SetFunctionSpec.marginal_vector
     monkeypatch.setattr(dm.SetFunctionSpec, "marginal_vector",
                         lambda self, mask, n: vectors.append((self, mask)) or vector(self, mask, n))
     rng = np.random.default_rng(53)
-    runs = cases(rng, n)
-    # a size-only reward too: the complement of a concave cost is supermodular
-    # (over a copy of the cost, so that its inner walks are not the cost's)
-    (inst, _), (linear, _) = runs
-    reward = dm.ComplementOf(dm.Perturbed(inst.g.base, inst.g.eta), n)
-    runs += [
-        (dm.DualModularInstance(ground=inst.ground, f=reward, g=inst.g), "fw"),
-        (dm.DualModularInstance(ground=inst.ground, f=reward, g=linear.g), "greedypp"),
-    ]
     full = (1 << n) - 1
-    for inst, variant in runs:
+    for inst, variant in cost_runs(rng, n):
         events.clear()
         vectors.clear()
         cfg = dm.SolverConfig(iterations=6, variant=variant, arithmetic=arithmetic)
@@ -214,6 +224,62 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
         assert all(who is inst.f for who, _ in vectors)
 
 
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+@pytest.mark.parametrize("T,fills", [(8, False), (9, True)], ids=["below-rule", "above-rule"])
+def test_one_table_where_a_run_could_visit_every_mask(monkeypatch, arithmetic, T, fills):
+    """At n = 6, T = 9 steps could visit (T + 1)(n + 1) = 70 >= 2^6 masks, and
+    T = 8 only 63.  Above that rule each function that is not size-only
+    takes one ``table`` and one walk, the first iterate's, and every later
+    order reads stored values; below it no table is built.  A size-only
+    function is never filled and walks once either way."""
+    n = 6
+    events = []
+    tables = []
+    record_walks(monkeypatch, events)
+    table = dm.SetFunctionSpec.table
+    monkeypatch.setattr(dm.SetFunctionSpec, "table", lambda self, n: tables.append(self) or table(self, n))
+    start = dm.Permutation((5, 3, 1, 0, 2, 4))
+    for inst, variant in cost_runs(np.random.default_rng(57), n):
+        events.clear()
+        tables.clear()
+        dm.final_iterate(inst, dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic,
+                                               initial_permutation=start))
+        if not fills:
+            assert tables == []
+        for spec in (inst.f, inst.g):
+            walked = [chain for who, chain in events if who is spec]
+            tabled = [who for who in tables if who is spec]
+            if size_only(spec):
+                assert (walked, tabled) == ([start.order], [])
+            elif fills:
+                assert (walked, tabled) == ([start.order], [spec])
+            else:
+                assert len(walked) > 1
+
+
+def test_no_table_once_the_first_walk_is_past_resolution(monkeypatch):
+    # f scaled by 2^60: its first walk's values are past 2^52, so every order is
+    # walked as in an unfilled run, and no table is built only to be dropped
+    inst = random_instance(np.random.default_rng(58), 6)
+    inst = dm.DualModularInstance(ground=inst.ground, f=dm.Scaled(inst.f, F(2**60)), g=inst.g)
+    tables = []
+    table = dm.SetFunctionSpec.table
+    monkeypatch.setattr(dm.SetFunctionSpec, "table", lambda self, n: tables.append(self) or table(self, n))
+    dm.final_iterate(inst, dm.SolverConfig(iterations=9))
+    assert tables == []
+
+
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+def test_rows_agree_across_the_fill_rule(arithmetic):
+    # at n = 8, T = 27 steps could visit 28 * 9 = 252 < 2^8 masks, so that run
+    # walks; T = 28 could visit 261 and fills.  The rows they share are the same
+    rng = np.random.default_rng(56)
+    for inst, variant in cases(rng, 8):
+        below, above = (dm.solve(inst, dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic, stride=1))
+                        for T in (27, 28))
+        assert repr(below.rows) == repr(above.rows[:27])
+
+
 # ---------------------------------------------------------------------------
 # the step against the one it replaced: vertex, then two list comprehensions
 # ---------------------------------------------------------------------------
@@ -224,7 +290,8 @@ class VertexThenMix(dict):
 
     ``vertex`` reads an order's stored prefixes, and a miss walks the order
     and stores all n + 1 values; every function, size-only or not, walks
-    each order with an unstored prefix.  ``mix`` takes the vertex and then
+    each order with an unstored prefix, and ``fill`` stores nothing, so
+    the memo holds only what walks stored.  ``mix`` takes the vertex and then
     mixes it in with a list comprehension.  ``memo[mask]``, the query of
     :func:`chain_walk_removal_order`, walks the chain of an unstored mask's
     elements and stores and gates its value.
@@ -238,6 +305,9 @@ class VertexThenMix(dict):
         self._exact = operator.truediv if as_float else F
         self._as_float = as_float
         self._unresolved = False
+
+    def fill(self, n):
+        pass  # every order is walked: a filled run is compared with walks alone
 
     def mix(self, order, x, keep, gamma):
         c = self.vertex(order)
