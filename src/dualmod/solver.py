@@ -21,10 +21,12 @@ integers, and all its n + 1 values are stored.  Each step mixes the
 differences of the stored prefixes straight into the new iterate.  A
 function of |S| alone has the same marginal at position i of every order,
 so it is walked once per run.  Where T steps could visit every mask,
-2^n <= (T + 1)(n + 1), a run stores each other function's whole integer
-table, built by doubling, after its first walk, and no later order misses;
-in binary64 a table with a value past the memo's resolution bounds is not
-stored, and that function walks as above.
+2^n <= (T + 1)(n + 1), a run converts the whole integer tables of f and g,
+built by doubling, into two lists indexed by mask after the first walks,
+and each step is then one pass over its order that reads both lists and
+writes the new iterate and its densities.  In binary64 a run walks as
+above where a first walk or a table value is past the memo's resolution
+bounds.
 Greedy++ scores its one-element removals from f's integer marginal vector
 at the remaining set: read once at V per step, then updated after each
 removal, on the removed element's neighbours for an edge reward and by one
@@ -55,7 +57,7 @@ from .divergence import QUADRATIC, DivergenceKind, HockeyStick
 from .errors import DomainError, NotLinearCost, SchemaError, StructuralError
 from .instance import DualModularInstance, extremes
 from .kinds import EdgesInside, SetFunctionSpec
-from .permutation import Permutation, check_order, density_order, density_ratios, marginals, vertex
+from .permutation import Permutation, check_order, density_ratios, marginals, vertex
 from .rational import format_rational
 
 
@@ -176,19 +178,21 @@ class _Memo(dict):
     the stored prefixes.  The first time a prefix of order is not stored,
     ``_walk`` makes one ``spec.prefixes`` walk, which converts and stores
     all n + 1 values and takes c in the same pass; the run's first iterate
-    is such a walk.  ``fill(n)`` then stores all 2^n values from one
-    ``spec.table(n)``, so no later prefix is missing; the run calls it only
-    where 2^n is at most the (T + 1)(n + 1) values its walks could store.
+    is such a walk.  ``whole_table(n)`` converts all 2^n values of one
+    ``spec.table(n)`` into a list indexed by mask, as a walk converts them;
+    the run steps over two such lists in place of ``mix`` where 2^n is at
+    most the (T + 1)(n + 1) values its walks could store, and the memo keeps
+    its first walk's n + 1 values.
     A size-only function (``spec._size_only``) has the same marginal at
-    position i of every order, so it is walked once per run and every
-    later order reads that walk's marginals by position.
+    position i of every order, so where a run walks, it walks that function
+    once, and every later order reads that walk's marginals by position.
     ``top`` is the last walk's integer h(V), where Greedy++'s removals
     start.  In binary64 mode a value is stored as a float, the correctly
     rounded exact value (one beyond the binary64 range raises
     :class:`DomainError`); in rational mode as a ``Fraction``.  A step
     visits n + 1 prefixes, so T steps hold at most min(2^n, (T + 1)(n + 1))
-    values, and a filled memo's 2^n are no more; a size-only function is
-    never filled and holds its one walk's n + 1 values.
+    values, and a whole table's 2^n are no more; a size-only function holds
+    its one walk's n + 1 values.
     Greedy++'s removal scores convert their values with the same ``_exact``
     and offer every integer they convert to the gate below, but store none.
 
@@ -201,10 +205,11 @@ class _Memo(dict):
     walks every order, once per step, and checks its shares against that
     walk's integers.  A size-only function's one walk holds all its values,
     so it has already checked the shares that every later order reuses.
-    ``fill`` stores nothing where a table value is outside the bounds, so
-    the run walks and checks as it would unfilled, and every error is raised
-    where it was; every value a filled memo holds is inside them.  Where the
-    first walk has opened the gate, the table is not built at all.
+    ``whole_table`` returns None where a table value is outside the bounds,
+    so the run walks and checks as above and every error is raised where it
+    was; every value of a whole table is inside them, so none of its shares
+    rounds to 0 over a nonzero exact marginal.  Where a first walk has opened
+    the gate, no table is built.
     """
 
     def __init__(self, spec: SetFunctionSpec, as_float: bool, name: str, labels: Sequence[str]):
@@ -219,16 +224,13 @@ class _Memo(dict):
         self._by_position = None  # a size-only function's marginals by position, from its walk
         self.top = None  # h(V) * den, from the last walk
 
-    def fill(self, n: int) -> None:
-        """Store every value of ``spec.table(n)``, unless the function is size-only or,
-        in binary64, a value the first walk stored or one of the table's is
-        outside the resolution bounds."""
-        if self._spec._size_only or self._unresolved:
-            return
+    def whole_table(self, n: int) -> Optional[list]:
+        """All 2^n values of ``spec.table(n)`` as a list indexed by mask, converted as a
+        walk converts them; None where, in binary64, one is outside the resolution bounds."""
         values, den = self._spec.table(n)
         if self._as_float and _past_resolution(values, den):
-            return
-        self.update(enumerate(map(self._exact, values, repeat(den))))
+            return None
+        return list(map(self._exact, values, repeat(den)))
 
     def mix(self, order: tuple, x: list, keep, gamma) -> list:
         """[keep * x[u] + gamma * c[u] for each u], c the marginal vector of order, as a new list."""
@@ -333,8 +335,9 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
 
     Before each update it passes ``(k, rho, order, x, y)`` to ``record``: the
     step number, the iterate (x, y), its densities rho and the order chosen
-    from them.  It keeps only the current iterate and the memos; rows are
-    record's to keep.
+    from them.  It keeps only the current iterate, the memos and, where a
+    run could visit every mask, the two whole tables; rows are record's to
+    keep.
     """
     greedy = variant == "greedypp"
     # with g(empty) = 0, g is linear exactly when it is both super- and submodular
@@ -360,24 +363,68 @@ def _run(inst: DualModularInstance, cfg: SolverConfig, variant: str, record=None
     if sigma0.n != inst.n:
         raise SchemaError("initial_permutation", "length does not match the ground set")
     x, y = f._walk(sigma0.order), g._walk(sigma0.order)
-    # the walks of T steps could store (T + 1)(n + 1) values: at 2^n or more,
-    # one table built by doubling costs less than they would
-    if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):
-        f.fill(inst.n)
-        g.fill(inst.n)
+    rho = densities(x, y)
+    # the walks of T steps could store (T + 1)(n + 1) values: at 2^n or more, two
+    # tables built by doubling cost less than they would, unless a first walk has
+    # already opened the resolution gate
+    whole_f = whole_g = None  # whole_g is None unless both tables are whole
+    if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1) and not (f._unresolved or g._unresolved):
+        whole_f = f.whole_table(inst.n)
+        whole_g = whole_f and g.whole_table(inst.n)
     # step lead / (k + lead): 1/(k+1) for Greedy++, 2/(k+2) for Frank-Wolfe
     lead = 1 if greedy else 2
+    elements = range(inst.n)
 
     for k in range(cfg.iterations):
         gamma = lead / (k + lead) if as_float else Fraction(lead, k + lead)
-        rho = densities(x, y)
-        order = _removal_order(inst.n, x, f, gamma) if greedy else density_order(rho)
+        if greedy:
+            order = _removal_order(inst.n, x, f, gamma)
+        else:  # density_order(rho), its range made once: a call per step costs 3% of a solve
+            order = tuple(sorted(elements, key=rho.__getitem__, reverse=True))
         if record is not None:
             record(k, rho, order, x, y)
         keep = 1 - gamma
-        x = f.mix(order, x, keep, gamma)
-        y = g.mix(order, y, keep, gamma)
-    return x, y, densities(x, y)
+        if whole_g is None:
+            x = f.mix(order, x, keep, gamma)
+            y = g.mix(order, y, keep, gamma)
+            rho = densities(x, y)
+        else:
+            x, y, rho = _table_step(order, x, y, keep, gamma, whole_f, whole_g)
+            # a zero cost share, or a density past the binary64 range: densities
+            # raises as after a walked step, naming the same element
+            if rho is None or as_float and not math.isfinite(sum(rho)):
+                rho = densities(x, y)
+    return x, y, rho
+
+
+def _table_step(order, x, y, keep, gamma, F, G):
+    """One step over whole tables F and G of f and g, lists indexed by mask.
+
+    The new iterate, [keep * x[u] + gamma * c[u]] and the same for y with d,
+    c and d the marginal vectors of order, and its densities x[u] / y[u], in
+    one pass; the densities are None where a cost share is 0.
+    """
+    n = len(order)
+    x2 = [0] * n
+    y2 = [0] * n
+    rho = [0] * n
+    zero = False
+    prefix = 0
+    f_prev = F[0]
+    g_prev = G[0]
+    for u in order:
+        prefix |= 1 << u
+        f_cur = F[prefix]
+        g_cur = G[prefix]
+        xu = x2[u] = keep * x[u] + gamma * (f_cur - f_prev)
+        yu = y2[u] = keep * y[u] + gamma * (g_cur - g_prev)
+        try:
+            rho[u] = xu / yu
+        except ZeroDivisionError:
+            zero = True
+        f_prev = f_cur
+        g_prev = g_cur
+    return x2, y2, None if zero else rho
 
 
 def _removal_order(n: int, x, f: _Memo, gamma) -> tuple[int, ...]:

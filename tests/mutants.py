@@ -166,27 +166,36 @@ MUTANTS = [
            "out[u] = keep * x[u] + gamma * (cur - prev)\n                prev = cur",
            "out[u] = keep * x[u] + gamma * (cur - prev)",
            (f"{VALUES}::test_memo_matches_full_table_walk", f"{VALUES}::test_mix_is_the_vertex_mixed_in")),
-    # where a run could visit every mask, each function that is not size-only
-    # is filled from one table after its first walk, unless a value is past
-    # the resolution gate
-    Mutant("fill-ignores-the-gate", "solver.py",
+    # where a run could visit every mask, each step is one pass over both
+    # whole tables, unless a first walk or a table value is past the
+    # resolution gate; the pass writes the iterate and its densities
+    Mutant("whole-tables-always", "solver.py",
+           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1) and", "if True and",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("whole-tables-never", "solver.py",
+           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1) and", "if False and",
+           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("whole-tables-ignore-the-gate", "solver.py",
            "if self._as_float and _past_resolution(values, den):", "if False:",
            (f"{SOLVER}::TestGreedyPlusPlus::test_removal_beyond_binary64_range",)),
-    Mutant("fill-after-an-unresolved-walk", "solver.py",
-           "if self._spec._size_only or self._unresolved:", "if self._spec._size_only:",
+    Mutant("whole-tables-after-an-unresolved-walk", "solver.py",
+           " and not (f._unresolved or g._unresolved):", ":",
            (f"{VALUES}::test_no_table_once_the_first_walk_is_past_resolution",)),
-    Mutant("fill-never", "solver.py",
-           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):", "if False:",
-           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
-    Mutant("fill-always", "solver.py",
-           "if 1 << inst.n <= (cfg.iterations + 1) * (inst.n + 1):", "if True:",
-           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
-    Mutant("fill-skips-g", "solver.py",
-           "        g.fill(inst.n)\n", "",
-           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
-    Mutant("fill-size-only", "solver.py",
-           "if self._spec._size_only or self._unresolved:", "if self._unresolved:",
-           (f"{VALUES}::test_one_table_where_a_run_could_visit_every_mask",)),
+    Mutant("table-step-reads-f-for-g", "solver.py",
+           "g_cur = G[prefix]", "g_cur = F[prefix]",
+           (f"{VALUES}::test_whole_table_runs_match_walks_alone", f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("table-step-reads-a-stale-prefix", "solver.py",
+           "        f_prev = f_cur\n", "",
+           (f"{VALUES}::test_whole_table_runs_match_walks_alone", f"{VALUES}::test_step_matches_vertex_then_mix")),
+    Mutant("table-step-skips-the-finite-sum-check", "solver.py",
+           "if rho is None or as_float and not math.isfinite(sum(rho)):", "if rho is None:",
+           (f"{VALUES}::test_density_errors_on_both_sides_of_the_rule",)),
+    Mutant("table-step-skips-a-zero-share", "solver.py",
+           "            zero = True\n", "            pass\n",
+           (f"{VALUES}::test_zero_cost_share_on_both_sides_of_the_rule",)),
+    Mutant("table-step-leaves-densities-stale", "solver.py",
+           "rho[u] = xu / yu", "rho[u] = x[u] / y[u]",
+           (f"{VALUES}::test_whole_table_runs_match_walks_alone", f"{VALUES}::test_step_matches_vertex_then_mix")),
     # marginal vectors: one pass per spec, under value's mask rule
     Mutant("complement-vector-at-mask", "kinds.py",
            "return self.base._vector((1 << self.n) - 1 ^ mask, n)", "return self.base._vector(mask, n)",
@@ -396,9 +405,10 @@ MUTANTS = [
     Mutant("final-iterate-runs-fw", "solver.py",
            "_run(inst, cfg, cfg.variant)", '_run(inst, cfg, "fw")',
            (f"{SOLVER}::TestFinalIterate::test_matches_solve_bit_for_bit",)),
-    Mutant("final-densities-one-step-stale", "solver.py",
-           "return x, y, densities(x, y)", "return x, y, rho",
-           (f"{SOLVER}::TestFinalIterate::test_matches_solve_bit_for_bit",)),
+    Mutant("walked-step-leaves-densities-stale", "solver.py",
+           "            y = g.mix(order, y, keep, gamma)\n            rho = densities(x, y)\n",
+           "            y = g.mix(order, y, keep, gamma)\n",
+           (f"{VALUES}::test_memo_matches_direct_walk_above_old_table_size",)),
     Mutant("one-step-too-few", "solver.py",
            "for k in range(cfg.iterations):", "for k in range(cfg.iterations - 1):",
            ("tests/test_solver_values.py::test_memo_matches_full_table_walk",)),

@@ -1,15 +1,15 @@
 """The solver's value path against iterations that read f and g another way.
 
 The solver evaluates f and g at the masks a run visits, each once, through
-a per-run memo that stores all prefixes of an order from one integer walk,
-or, where a run could visit every mask, the whole table after one walk.
-The references here repeat the same iteration reading the values from full
-2^n tables (n <= 8), or from a fresh ``spec.value`` call on every visit
-(n = 21, where a table would hold two million values each), and must give
-identical rows and final x, y.  The step itself is checked against the one
-it replaced, which took each vertex and then mixed it in, and Greedy++'s
-removals, read off f's marginal vectors, against the memo queries that
-walked the chain of each f(R - u).
+a per-run memo that stores all prefixes of an order from one integer walk;
+where a run could visit every mask, it steps over both whole tables after
+one walk each.  The references here repeat the same iteration reading the
+values from full 2^n tables (n <= 8), or from a fresh ``spec.value`` call
+on every visit (n = 21, where a table would hold two million values each),
+and must give identical rows and final x, y.  The step itself is checked
+against the one it replaced, which took each vertex and then mixed it in,
+and Greedy++'s removals, read off f's marginal vectors, against the memo
+queries that walked the chain of each f(R - u).
 """
 
 import functools
@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import dualmod as dm
 from dualmod import solver
-from dualmod.errors import DomainError, DualModError
+from dualmod.errors import DomainError, DualModError, ZeroCostCoordinate
 from dualmod.permutation import marginals
 from dualmod.rational import format_rational
 from dualmod.solver import TraceRow, _Memo, _phi_values
@@ -225,34 +225,47 @@ def test_each_mask_evaluated_at_most_once(monkeypatch, arithmetic):
 
 
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
-@pytest.mark.parametrize("T,fills", [(8, False), (9, True)], ids=["below-rule", "above-rule"])
-def test_one_table_where_a_run_could_visit_every_mask(monkeypatch, arithmetic, T, fills):
+@pytest.mark.parametrize("T,whole", [(8, False), (9, True)], ids=["below-rule", "above-rule"])
+def test_one_table_where_a_run_could_visit_every_mask(monkeypatch, arithmetic, T, whole):
     """At n = 6, T = 9 steps could visit (T + 1)(n + 1) = 70 >= 2^6 masks, and
-    T = 8 only 63.  Above that rule each function that is not size-only
-    takes one ``table`` and one walk, the first iterate's, and every later
-    order reads stored values; below it no table is built.  A size-only
-    function is never filled and walks once either way."""
+    T = 8 only 63.  Above that rule each function, size-only or not, takes one
+    ``table`` and one walk, the first iterate's, and its memo holds only that
+    walk's n + 1 values; below it no table is built."""
     n = 6
-    events = []
-    tables = []
+    events, tables, memos = [], [], []
     record_walks(monkeypatch, events)
     table = dm.SetFunctionSpec.table
-    monkeypatch.setattr(dm.SetFunctionSpec, "table", lambda self, n: tables.append(self) or table(self, n))
+
+    def recording_table(self, n):
+        tables.append(self)
+        walks = len(events)
+        out = table(self, n)
+        del events[walks:]  # a size-only function's table reads a walk of its own
+        return out
+
+    class Recorded(_Memo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(dm.SetFunctionSpec, "table", recording_table)
+    monkeypatch.setattr(solver, "_Memo", Recorded)
     start = dm.Permutation((5, 3, 1, 0, 2, 4))
     for inst, variant in cost_runs(np.random.default_rng(57), n):
         events.clear()
         tables.clear()
+        memos.clear()
         dm.final_iterate(inst, dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic,
                                                initial_permutation=start))
-        if not fills:
+        if not whole:
             assert tables == []
-        for spec in (inst.f, inst.g):
+        for spec, memo in zip((inst.f, inst.g), memos, strict=True):
             walked = [chain for who, chain in events if who is spec]
-            tabled = [who for who in tables if who is spec]
-            if size_only(spec):
-                assert (walked, tabled) == ([start.order], [])
-            elif fills:
-                assert (walked, tabled) == ([start.order], [spec])
+            if whole:
+                assert (walked, [who for who in tables if who is spec]) == ([start.order], [spec])
+                assert memo.keys() == prefix_set(start.order)
+            elif size_only(spec):
+                assert walked == [start.order]
             else:
                 assert len(walked) > 1
 
@@ -272,12 +285,73 @@ def test_no_table_once_the_first_walk_is_past_resolution(monkeypatch):
 @pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
 def test_rows_agree_across_the_fill_rule(arithmetic):
     # at n = 8, T = 27 steps could visit 28 * 9 = 252 < 2^8 masks, so that run
-    # walks; T = 28 could visit 261 and fills.  The rows they share are the same
+    # walks; T = 28 could visit 261 and steps over whole tables.  The rows they
+    # share are the same
     rng = np.random.default_rng(56)
     for inst, variant in cases(rng, 8):
         below, above = (dm.solve(inst, dm.SolverConfig(iterations=T, variant=variant, arithmetic=arithmetic, stride=1))
                         for T in (27, 28))
         assert repr(below.rows) == repr(above.rows[:27])
+
+
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+def test_whole_table_runs_match_walks_alone(arithmetic):
+    # n = 8 and T = 28, above the rule: a dense edge reward over a size-only
+    # cost, perturbed concave for Frank-Wolfe and with equal steps for
+    # Greedy++, against the same runs with every whole table refused
+    inst = random_instance(np.random.default_rng(59), 8)
+    equal_steps = dm.ConcaveOfCardinality(tuple(F(3, 2) * k for k in range(9)))
+    linear = dm.DualModularInstance(ground=inst.ground, f=inst.f, g=equal_steps)
+    for inst, variant in ((inst, "fw"), (linear, "greedypp")):
+        assert size_only(inst.g)
+        cfg = dm.SolverConfig(iterations=28, variant=variant, arithmetic=arithmetic, stride=1)
+        with mock.patch.object(solver, "_table_step", wraps=solver._table_step) as step:
+            whole = outcomes(inst, cfg)
+        assert step.call_count == 2 * 28
+        with mock.patch.object(_Memo, "whole_table", lambda self, n: None):
+            assert outcomes(inst, cfg) == whole
+
+
+def errors_at(inst, T, **kw):
+    """``outcomes`` at T steps, and how many of the two runs' steps went over whole tables."""
+    with mock.patch.object(solver, "_table_step", wraps=solver._table_step) as step:
+        return outcomes(inst, dm.SolverConfig(iterations=T, **kw)), step.call_count
+
+
+def four_elements(f, g):
+    return dm.DualModularInstance(ground=dm.GroundSet(("a", "b", "c", "d")), f=f, g=g)
+
+
+@pytest.mark.parametrize("variant", ["fw", "greedypp"])
+def test_density_errors_on_both_sides_of_the_rule(variant):
+    # at n = 4, T = 1 could visit 2 * 5 = 10 < 2^4 masks and walks; T = 5 could
+    # visit 30 and steps over whole tables.  2^49 / 2^-1000 is past the binary64
+    # range from the first iterate on
+    tiny = F(1, 2**1000)
+    flat = four_elements(dm.Linear((F(2**49),) * 4), dm.Linear((tiny,) * 4))
+    # the first iterate's densities are finite; the first step moves the pair
+    # edge's 2^24 from b's share to a's, and a's density past the range
+    edges = ((0, 0, F(1)), (1, 1, F(1)), (0, 1, F(2**24)), (2, 2, F(1)), (3, 3, F(1)))
+    moved = four_elements(dm.EdgesInside(edges), dm.Linear((tiny, 2**10 * tiny, 2**10 * tiny, 2**10 * tiny)))
+    for inst, steps in ((flat, 0), (moved, 2)):
+        walked, whole = errors_at(inst, 1, variant=variant), errors_at(inst, 5, variant=variant)
+        assert (walked[1], whole[1]) == (0, steps)
+        assert walked[0] == whole[0] == [repr((DomainError, "density of element a exceeds the binary64 range"))] * 2
+
+
+@pytest.mark.parametrize("arithmetic", ["binary64", "rational"])
+def test_zero_cost_share_on_both_sides_of_the_rule(arithmetic):
+    # g(a) = g(a, b) = 2 and g(b) = 1, so b's share after a is 0; c and d add
+    # 1 each.  The start (b, a, c, d) gives every share 1 and densities
+    # (4, 3, 2, 1), and the first step takes the order (a, b, c, d)
+    h = (0, 2, 1, 2)
+    g = dm.ExplicitTable(tuple(F(h[m & 3] + (m >> 2 & 1) + (m >> 3)) for m in range(16)))
+    inst = four_elements(dm.Linear((F(4), F(3), F(2), F(1))), g)
+    start = dm.Permutation((1, 0, 2, 3))
+    walked, whole = (errors_at(inst, T, arithmetic=arithmetic, initial_permutation=start) for T in (1, 5))
+    assert (walked[1], whole[1]) == (0, 2)
+    message = str(ZeroCostCoordinate(1, "b"))
+    assert walked[0] == whole[0] == [repr((ZeroCostCoordinate, message))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +364,11 @@ class VertexThenMix(dict):
 
     ``vertex`` reads an order's stored prefixes, and a miss walks the order
     and stores all n + 1 values; every function, size-only or not, walks
-    each order with an unstored prefix, and ``fill`` stores nothing, so
-    the memo holds only what walks stored.  ``mix`` takes the vertex and then
-    mixes it in with a list comprehension.  ``memo[mask]``, the query of
-    :func:`chain_walk_removal_order`, walks the chain of an unstored mask's
-    elements and stores and gates its value.
+    each order with an unstored prefix, and ``whole_table`` refuses, so
+    every run walks and the memo holds only what walks stored.  ``mix``
+    takes the vertex and then mixes it in with a list comprehension.
+    ``memo[mask]``, the query of :func:`chain_walk_removal_order`, walks the
+    chain of an unstored mask's elements and stores and gates its value.
     """
 
     def __init__(self, spec, as_float, name, labels):
@@ -306,8 +380,8 @@ class VertexThenMix(dict):
         self._as_float = as_float
         self._unresolved = False
 
-    def fill(self, n):
-        pass  # every order is walked: a filled run is compared with walks alone
+    def whole_table(self, n):
+        return None  # every order is walked: a whole-table run is compared with walks alone
 
     def mix(self, order, x, keep, gamma):
         c = self.vertex(order)
